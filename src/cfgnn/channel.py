@@ -18,8 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,18 +110,16 @@ class ScenarioConfig:
 def make_scenario(num_aps: int, num_ues: int, morphology: str | Morphology,
                   radio: RadioDefaults | None = None,
                   tau: int | None = None,
-                  min_distance_m: float = 5.0,
-                  morphologies: dict[str, Morphology] | None = None) -> ScenarioConfig:
+                  min_distance_m: float = 5.0) -> ScenarioConfig:
     """Build a ScenarioConfig from sizes and a morphology name.
 
     tau defaults to num_ues (orthogonal pilots, one per user).
     """
     if isinstance(morphology, str):
-        table = morphologies if morphologies is not None else MORPHOLOGIES
-        if morphology not in table:
+        if morphology not in MORPHOLOGIES:
             raise ValueError(f"unknown morphology {morphology!r}; "
-                             f"expected one of {sorted(table)}")
-        morphology = table[morphology]
+                             f"expected one of {sorted(MORPHOLOGIES)}")
+        morphology = MORPHOLOGIES[morphology]
     radio = radio if radio is not None else RadioDefaults()
     return ScenarioConfig(
         num_aps=num_aps,
@@ -197,49 +194,3 @@ def generate_sample_fading(cfg: ScenarioConfig, seed: int, index: int = 0) -> np
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     deployment = generate_deployment(cfg, rng)
     return generate_fading(deployment, cfg, rng)
-
-
-_MORPHOLOGY_FIELDS = {"radius_m", "pl_exponent", "pl_intercept_db", "shadow_sigma_db"}
-_RADIO_FIELDS = {"tx_power_dl_mw", "tx_power_ul_mw", "bandwidth_hz",
-                 "noise_figure_db", "temperature_k"}
-
-
-def load_overrides(path: str) -> tuple[dict[str, Morphology], RadioDefaults, dict[str, float]]:
-    """Parse a key=value config file overriding morphology and radio defaults.
-
-    Recognised keys:
-        <morphology>.<field>   e.g. urban.radius_m=600
-        <radio field>          e.g. bandwidth_hz=10e6
-        min_distance_m, tau    scenario-level overrides (returned in a dict)
-
-    Lines starting with '#' and blank lines are ignored.  Unknown keys raise
-    ValueError so that typos do not silently fall back to defaults.
-    """
-    morphologies = dict(MORPHOLOGIES)
-    radio_kwargs: dict[str, float] = {}
-    scenario_overrides: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if "." in key:
-                morph_name, _, field_name = key.partition(".")
-                if morph_name not in morphologies:
-                    raise ValueError(f"{path}:{lineno}: unknown morphology {morph_name!r}")
-                if field_name not in _MORPHOLOGY_FIELDS:
-                    raise ValueError(f"{path}:{lineno}: unknown morphology field {field_name!r}")
-                morphologies[morph_name] = replace(
-                    morphologies[morph_name], **{field_name: float(value)})
-            elif key in _RADIO_FIELDS:
-                radio_kwargs[key] = float(value)
-            elif key in ("min_distance_m", "tau"):
-                scenario_overrides[key] = float(value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    return morphologies, RadioDefaults(**radio_kwargs), scenario_overrides

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (MORPHOLOGIES, Morphology, RadioDefaults, ScenarioConfig,
-                      generate_deployment, generate_fading, make_scenario)
-from .maxmin import BisectionConfig, SolverError, solve_maxmin
+from .channel import (RadioDefaults, generate_deployment, generate_fading,
+                      make_scenario)
+from .maxmin import SolverError, solve_maxmin
 from .sinr import compute_alpha, compute_sinr, is_feasible
 
 logger = logging.getLogger(__name__)
@@ -98,14 +98,29 @@ def sample_to_json(sample: Sample) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _finite_field(doc: dict, key: str, size: int) -> np.ndarray:
+    arr = np.array(doc[key], dtype=float)
+    if arr.shape != (size,):
+        raise ValueError(f"{key} has shape {arr.shape}, expected ({size},)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{key} holds non-finite values")
+    return arr
+
+
 def sample_from_json(line: str) -> Sample:
+    """Parse one JSONL record, rejecting wrong lengths, non-finite values,
+    non-positive fading gains and negative powers."""
     doc = json.loads(line)
     m, k = int(doc["M"]), int(doc["K"])
-    beta = np.array(doc["beta"], dtype=float).reshape(m, k)
+    beta = _finite_field(doc, "beta", m * k).reshape(m, k)
+    if np.any(beta <= 0):
+        raise ValueError("beta entries must be positive")
     eta = sinr = None
     if "eta_opt" in doc:
-        eta = np.array(doc["eta_opt"], dtype=float).reshape(m, k)
-        sinr = np.array(doc["sinr_opt"], dtype=float)
+        eta = _finite_field(doc, "eta_opt", m * k).reshape(m, k)
+        if np.any(eta < 0):
+            raise ValueError("eta_opt entries must be non-negative")
+        sinr = _finite_field(doc, "sinr_opt", k)
     return Sample(num_aps=m, num_ues=k, morphology=doc["morphology"],
                   seed=int(doc["seed"]), beta=beta, eta_opt=eta, sinr_opt=sinr)
 
@@ -117,12 +132,17 @@ def write_jsonl(samples: list[Sample], path: str) -> None:
 
 
 def read_jsonl(path: str) -> list[Sample]:
+    """Read a dataset; a malformed record raises ValueError naming path:line."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 samples.append(sample_from_json(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return samples
 
 
@@ -132,10 +152,8 @@ def derive_sample_seed(run_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def generate_unlabeled(scenarios: list[tuple[int, int, str, int]], run_seed: int,
-                       radio: RadioDefaults | None = None,
-                       morphologies: dict[str, Morphology] | None = None,
-                       min_distance_m: float = 5.0) -> list[Sample]:
+def generate_unlabeled(scenarios: list[tuple[int, int, str, int]],
+                       run_seed: int) -> list[Sample]:
     """Draw fading realisations for a list of (M, K, morphology, count) specs.
 
     Sample i (indexed across the whole run) gets its own derived seed, so
@@ -144,9 +162,7 @@ def generate_unlabeled(scenarios: list[tuple[int, int, str, int]], run_seed: int
     samples = []
     index = 0
     for num_aps, num_ues, morphology, count in scenarios:
-        cfg = make_scenario(num_aps, num_ues, morphology, radio=radio,
-                            min_distance_m=min_distance_m,
-                            morphologies=morphologies)
+        cfg = make_scenario(num_aps, num_ues, morphology)
         for _ in range(count):
             seed = derive_sample_seed(run_seed, index)
             rng = np.random.default_rng(seed)
@@ -159,9 +175,9 @@ def generate_unlabeled(scenarios: list[tuple[int, int, str, int]], run_seed: int
 
 
 def _label_one(args: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-    beta, rho_d, rho_u, tau, bis = args
+    beta, rho_d, rho_u, tau = args
     try:
-        sol = solve_maxmin(beta, rho_d, rho_u, tau, config=bis)
+        sol = solve_maxmin(beta, rho_d, rho_u, tau)
     except SolverError:
         return None
     if not sol.converged:
@@ -170,25 +186,16 @@ def _label_one(args: tuple) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def label_samples(samples: list[Sample], radio: RadioDefaults | None = None,
-                  bis: BisectionConfig | None = None, threads: int = 1,
-                  tau_by_scenario: dict[tuple[int, int], int] | None = None
-                  ) -> list[Sample]:
+                  threads: int = 1) -> list[Sample]:
     """Attach optimal (eta, sinr) labels; failed solves are dropped and logged.
 
-    Results are deterministic for any thread count because each solve is pure
-    and outputs are collected in input order.
+    Each sample uses tau = K orthogonal pilots.  Results are deterministic for
+    any thread count because each solve is pure and outputs are collected in
+    input order.
     """
     radio = radio if radio is not None else RadioDefaults()
     rho_d, rho_u = radio.rho_d(), radio.rho_u()
-
-    def tau_of(sample: Sample) -> int:
-        if tau_by_scenario is not None:
-            key = (sample.num_aps, sample.num_ues)
-            if key in tau_by_scenario:
-                return tau_by_scenario[key]
-        return sample.num_ues
-
-    jobs = [(s.beta, rho_d, rho_u, tau_of(s), bis) for s in samples]
+    jobs = [(s.beta, rho_d, rho_u, s.num_ues) for s in samples]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_label_one, jobs, chunksize=8))
@@ -207,18 +214,6 @@ def label_samples(samples: list[Sample], radio: RadioDefaults | None = None,
                               morphology=sample.morphology, seed=sample.seed,
                               beta=sample.beta, eta_opt=eta, sinr_opt=sinr))
     return labeled
-
-
-def generate_dataset(scenarios: list[tuple[int, int, str, int]], run_seed: int,
-                     path: str, radio: RadioDefaults | None = None,
-                     bis: BisectionConfig | None = None, threads: int = 1,
-                     morphologies: dict[str, Morphology] | None = None) -> int:
-    """Generate, label and write a dataset; returns the number of samples."""
-    samples = generate_unlabeled(scenarios, run_seed, radio=radio,
-                                 morphologies=morphologies)
-    labeled = label_samples(samples, radio=radio, bis=bis, threads=threads)
-    write_jsonl(labeled, path)
-    return len(labeled)
 
 
 def compute_norm_stats(samples: list[Sample]) -> NormStats:
@@ -249,18 +244,6 @@ def normalize_input(beta: np.ndarray, stats: NormStats) -> np.ndarray:
     return (np.log2(beta) - stats.in_mean) / stats.in_std
 
 
-def normalize_output(eta: np.ndarray, stats: NormStats) -> np.ndarray:
-    floored = np.maximum(eta, ETA_LOG_FLOOR)
-    return (np.log2(floored) - stats.out_mean) / stats.out_std
-
-
 def denormalize_output(x: np.ndarray, stats: NormStats) -> np.ndarray:
     """Invert the output standardisation and the log2 transform."""
     return np.exp2(x * stats.out_std + stats.out_mean)
-
-
-def preprocess(samples: list[Sample]) -> tuple[list[np.ndarray], NormStats]:
-    """Normalized input features for each sample plus the fitted statistics."""
-    stats = compute_norm_stats(samples)
-    features = [normalize_input(s.beta, stats) for s in samples]
-    return features, stats

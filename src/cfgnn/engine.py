@@ -15,9 +15,8 @@ aggregate.  The two typed aggregates are summed, passed through ReLU and
 layer norm.  A final linear map emits one scalar per node, interpreted as
 the normalized log2 power.
 
-`layer_forward`, `typed_aggregate` and `attention_weights` give a per-node
-reference implementation of the same arithmetic; the test suite holds the
-batched path to it.  The backward pass consumes the tape recorded by
+The test suite holds this batched path to a slow per-node reference of the
+same arithmetic.  The backward pass consumes the tape recorded by
 `forward` and returns exact reverse-mode gradients for every parameter.
 
 All kernels optionally report FLOPs to a counter using the conventions of
@@ -31,12 +30,10 @@ import math
 
 import numpy as np
 
-from . import flops as flops_mod
-from .data import NormStats
+from .data import NormStats, denormalize_output
 from .flops import FlopCounter
 from .graph import HeteroGraph, build_graph
-from .model import (EDGE_TYPES, GnnModel, LayerPlan, head_params, init_model,
-                    param_shapes)
+from .model import GnnModel, init_model, param_shapes
 
 LN_EPS = 1e-5
 _MASK_VALUE = -1e30
@@ -270,17 +267,15 @@ def project_powers(raw: np.ndarray, norm: NormStats,
                    counter: FlopCounter | None = None) -> np.ndarray:
     """Denormalize raw outputs to powers and enforce the per-AP budget.
 
-    eta = 2^(raw * std + mean), negatives clamped (vacuous after the
-    exponential, kept for robustness), then any AP row whose sum exceeds 1
-    is divided by its sum, repeating until every row budget holds exactly
-    (a second pass only fires on last-ulp rounding leftovers).
+    eta = 2^(raw * std + mean), which is non-negative for finite raw, then
+    any AP row whose sum exceeds 1 is divided by its sum, repeating until
+    every row budget holds exactly (a second pass only fires on last-ulp
+    rounding leftovers).
     """
     raw = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw outputs must be finite")
-    xhat = raw * norm.out_std + norm.out_mean
-    eta = np.exp2(xhat)
-    eta = np.maximum(eta, 0.0)
+    eta = denormalize_output(raw, norm)
     if counter is not None:
         counter.mul(raw.size)   # scale by std
         counter.add(raw.size)   # shift by mean
@@ -301,105 +296,22 @@ def project_powers(raw: np.ndarray, norm: NormStats,
 
 
 # ---------------------------------------------------------------------------
-# Per-node reference implementation (test oracle for the batched path)
-# ---------------------------------------------------------------------------
-
-def attention_weights(h_i: np.ndarray, h_neighbors: np.ndarray,
-                      w3: np.ndarray, b3: np.ndarray, w4: np.ndarray,
-                      b4: np.ndarray) -> np.ndarray:
-    """Softmax attention of node i over its neighbours for one head.
-
-    Weights are exp(<query_i, key_j> / sqrt(d)) normalised over j, computed
-    with max subtraction.
-    """
-    if h_neighbors.shape[0] == 0:
-        raise ValueError("attention requires a non-empty neighborhood")
-    d = w3.shape[0]
-    query = w3 @ h_i + b3
-    keys = h_neighbors @ w4.T + b4
-    logits = keys @ query / math.sqrt(d)
-    logits = logits - logits.max()
-    ex = np.exp(logits)
-    return ex / ex.sum()
-
-
-def typed_aggregate(node: int, features: np.ndarray, graph: HeteroGraph,
-                    edge_type: str, model: GnnModel, t: int) -> np.ndarray:
-    """Reference aggregate for one node and edge type: per head,
-    L1(h_i) + sum_j alpha(i, j) L2(h_j), heads concatenated."""
-    if edge_type == "ap":
-        neighbors = graph.ap_neighbors[node]
-    elif edge_type == "ue":
-        neighbors = graph.ue_neighbors[node]
-    else:
-        raise ValueError(f"unknown edge type {edge_type!r}")
-    h_i = features[node]
-    pieces = []
-    for head in range(model.plan.heads):
-        hp = head_params(model, t, edge_type, head)
-        out = hp.w1 @ h_i + hp.b1
-        if neighbors.shape[0] > 0:
-            h_n = features[neighbors]
-            weights = attention_weights(h_i, h_n, hp.w3, hp.b3, hp.w4, hp.b4)
-            values = h_n @ hp.w2.T + hp.b2
-            out = out + weights @ values
-        pieces.append(out)
-    return np.concatenate(pieces)
-
-
-def layer_forward(graph: HeteroGraph, features: np.ndarray, model: GnnModel,
-                  t: int) -> np.ndarray:
-    """Reference transition: LayerNorm(ReLU(f_ap + f_ue)) per node."""
-    n_out = model.plan.sizes[t + 1]
-    if features.shape != (graph.num_nodes, model.plan.sizes[t]):
-        raise ValueError(f"features shape {features.shape} does not match "
-                         f"({graph.num_nodes}, {model.plan.sizes[t]})")
-    gain = model.params[f"layer{t:02d}.ln_gain"]
-    bias = model.params[f"layer{t:02d}.ln_bias"]
-    out = np.empty((graph.num_nodes, n_out))
-    for i in range(graph.num_nodes):
-        z = (typed_aggregate(i, features, graph, "ap", model, t)
-             + typed_aggregate(i, features, graph, "ue", model, t))
-        a = np.maximum(z, 0.0)
-        mu = a.mean()
-        var = ((a - mu) ** 2).mean()
-        xhat = (a - mu) / math.sqrt(var + LN_EPS)
-        out[i] = xhat * gain + bias
-    return out
-
-
-def forward_reference(graph: HeteroGraph, x: np.ndarray,
-                      model: GnnModel) -> np.ndarray:
-    """Per-node forward pass; slow, used to validate the batched kernel."""
-    h = x.reshape(graph.num_nodes, 1)
-    for t in range(model.plan.transformer_transitions):
-        h = layer_forward(graph, h, model, t)
-    y = h @ model.params["out.w"][0] + model.params["out.b"][0]
-    return y.reshape(graph.num_aps, graph.num_ues)
-
-
-# ---------------------------------------------------------------------------
 # FLOP accounting entry point
 # ---------------------------------------------------------------------------
 
-def count_flops(num_aps: int, num_ues: int, model: GnnModel | None = None,
-                mode: str = "instrumented", seed: int = 0) -> int:
+def count_flops(num_aps: int, num_ues: int,
+                model: GnnModel | None = None) -> int:
     """FLOPs of one forward pass plus projection at the given size.
 
-    instrumented: run the batched kernels on a seeded random input with a
-    counter attached.  analytic: closed-form count from the layer plan.
-    The two agree within 1% (the only data-dependent term is how many AP
-    rows the projection renormalises).
+    Runs the batched kernels on a seeded random input with a counter
+    attached (default model: a fresh seed-0 network).  The closed-form
+    `flops.gnn_forward_flops` agrees within 1%; the only data-dependent
+    term is how many AP rows the projection renormalises.
     """
-    if mode == "analytic":
-        plan = model.plan if model is not None else LayerPlan()
-        return flops_mod.gnn_forward_flops(plan, num_aps, num_ues).total
-    if mode != "instrumented":
-        raise ValueError(f"unknown mode {mode!r}")
     if model is None:
         model = init_model(seed=0)
     graph = build_graph(num_aps, num_ues)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal((num_aps, num_ues))
     counter = FlopCounter()
     y = forward(graph, x, model, counter=counter)

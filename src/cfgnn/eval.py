@@ -18,7 +18,7 @@ from .data import Sample, normalize_input
 from .engine import count_flops, forward, project_powers
 from .flops import FlopCounter
 from .graph import build_graph
-from .maxmin import BisectionConfig, solve_maxmin
+from .maxmin import solve_maxmin
 from .model import GnnModel
 from .sinr import compute_alpha, compute_sinr, spectral_efficiency
 
@@ -56,15 +56,13 @@ def scenario_tag(num_aps: int, num_ues: int, morphology: str) -> str:
 
 
 def evaluate(model: GnnModel, eval_set: list[Sample], rho_d: float,
-             rho_u: float, tau: int | None = None,
-             scenario: str | None = None, include_flops: bool = True
-             ) -> EvalReport:
+             rho_u: float) -> EvalReport:
     """Pooled per-user CDF comparison of the network against the labels.
 
-    Every sample must carry its optimal solution.  tau defaults to each
-    sample's user count.  FLOP counts are attached only when the set is a
-    single (M, K) shape; they compare one network inference against one
-    full instrumented bisection solve on a representative instance.
+    Every sample must carry its optimal solution; each uses tau = K pilots.
+    FLOP counts are attached only when the set is a single (M, K) shape;
+    they compare one network inference against one full instrumented
+    bisection solve on a representative instance.
     """
     if not eval_set:
         raise ValueError("empty evaluation set")
@@ -76,8 +74,7 @@ def evaluate(model: GnnModel, eval_set: list[Sample], rho_d: float,
     morphs = {s.morphology for s in eval_set}
     for sample in eval_set:
         m, k = sample.num_aps, sample.num_ues
-        t = tau if tau is not None else k
-        alpha = compute_alpha(sample.beta, rho_u, t)
+        alpha = compute_alpha(sample.beta, rho_u, k)
         graph = build_graph(m, k)
         x = normalize_input(sample.beta, model.norm)
         eta_gnn = project_powers(forward(graph, x, model), model.norm)
@@ -93,14 +90,13 @@ def evaluate(model: GnnModel, eval_set: list[Sample], rho_d: float,
     loss_med = _percent_loss(se_sorted["optimal"], se_sorted["gnn"], 50.0)
     loss_95 = _percent_loss(se_sorted["optimal"], se_sorted["gnn"], 5.0)
 
-    if scenario is None:
-        if len(shapes) == 1 and len(morphs) == 1:
-            (m, k), = shapes
-            scenario = scenario_tag(m, k, next(iter(morphs)))
-        else:
-            scenario = "mixed"
+    if len(shapes) == 1 and len(morphs) == 1:
+        (m, k), = shapes
+        scenario = scenario_tag(m, k, next(iter(morphs)))
+    else:
+        scenario = "mixed"
     gnn_flops = solver_flops = 0
-    if include_flops and len(shapes) == 1:
+    if len(shapes) == 1:
         (m, k), = shapes
         morph = next(iter(morphs)) if len(morphs) == 1 else "urban"
         gnn_flops, solver_flops = flop_comparison(m, k, model, morphology=morph)
@@ -110,16 +106,14 @@ def evaluate(model: GnnModel, eval_set: list[Sample], rho_d: float,
 
 
 def flop_comparison(num_aps: int, num_ues: int, model: GnnModel | None = None,
-                    seed: int = 0, morphology: str = "urban",
-                    tau: int | None = None) -> tuple[int, int]:
+                    seed: int = 0, morphology: str = "urban"
+                    ) -> tuple[int, int]:
     """(gnn_flops, solver_flops) for one inference vs one instrumented solve."""
-    gnn = count_flops(num_aps, num_ues, model, mode="instrumented")
+    gnn = count_flops(num_aps, num_ues, model)
     cfg = make_scenario(num_aps, num_ues, morphology)
     beta = generate_sample_fading(cfg, seed)
     counter = FlopCounter()
-    solve_maxmin(beta, cfg.rho_d, cfg.rho_u,
-                 tau if tau is not None else num_ues,
-                 BisectionConfig(), counter)
+    solve_maxmin(beta, cfg.rho_d, cfg.rho_u, cfg.tau, counter=counter)
     return gnn, counter.total
 
 

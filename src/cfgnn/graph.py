@@ -1,78 +1,33 @@
 """Heterogeneous graph over (AP, user) pairs.
 
-Each of the M*K large-scale fading coefficients becomes one node.  Node
-(m, k) sits at flat index m * K + k (row-major).  Two typed edge families
-connect the nodes:
+Each of the M*K large-scale fading coefficients becomes one node, kept at
+grid position (m, k).  Two typed edge families connect the nodes:
 
     * "UE" edges join nodes that share the same user k (M - 1 neighbours),
     * "AP" edges join nodes that share the same AP m (K - 1 neighbours).
 
 There are no self-loops.  Relabelling APs or users permutes the node set
 but leaves this structure invariant, which is what gives the downstream
-network its permutation equivariance.
+network its permutation equivariance.  Because every neighbourhood is a
+full grid row or column, the batched engine needs only (M, K); the graph
+record carries nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 
 @dataclass(frozen=True)
 class HeteroGraph:
-    """Fixed-degree neighbour lists for the two edge types."""
+    """Grid size of an (M, K) scenario graph."""
 
     num_aps: int
     num_ues: int
-    ue_neighbors: np.ndarray  # (M*K, M-1) flat indices of same-user nodes
-    ap_neighbors: np.ndarray  # (M*K, K-1) flat indices of same-AP nodes
-
-    @property
-    def num_nodes(self) -> int:
-        return self.num_aps * self.num_ues
 
 
-def node_index(m: int, k: int, num_aps: int, num_ues: int) -> int:
-    """Flat index of node (m, k); validates ranges."""
-    if not 0 <= m < num_aps:
-        raise ValueError(f"AP index {m} out of range [0, {num_aps})")
-    if not 0 <= k < num_ues:
-        raise ValueError(f"user index {k} out of range [0, {num_ues})")
-    return m * num_ues + k
-
-
-def node_pair(index: int, num_aps: int, num_ues: int) -> tuple[int, int]:
-    """Inverse of node_index."""
-    if not 0 <= index < num_aps * num_ues:
-        raise ValueError(f"node index {index} out of range [0, {num_aps * num_ues})")
-    return divmod(index, num_ues)
-
-
-@lru_cache(maxsize=64)
 def build_graph(num_aps: int, num_ues: int) -> HeteroGraph:
-    """Construct (and cache) the typed neighbour lists for an (M, K) scenario."""
+    """The graph of an (M, K) scenario."""
     if num_aps < 1 or num_ues < 1:
         raise ValueError("num_aps and num_ues must be >= 1")
-    m_of = np.arange(num_aps * num_ues) // num_ues
-    k_of = np.arange(num_aps * num_ues) % num_ues
-
-    # Same user, different AP: for node (m, k) the neighbours are (m', k).
-    all_m = np.arange(num_aps)
-    ue_nbrs = np.empty((num_aps * num_ues, max(num_aps - 1, 0)), dtype=np.int64)
-    for i in range(num_aps * num_ues):
-        others = all_m[all_m != m_of[i]]
-        ue_nbrs[i] = others * num_ues + k_of[i]
-
-    # Same AP, different user: for node (m, k) the neighbours are (m, k').
-    all_k = np.arange(num_ues)
-    ap_nbrs = np.empty((num_aps * num_ues, max(num_ues - 1, 0)), dtype=np.int64)
-    for i in range(num_aps * num_ues):
-        others = all_k[all_k != k_of[i]]
-        ap_nbrs[i] = m_of[i] * num_ues + others
-
-    ue_nbrs.setflags(write=False)
-    ap_nbrs.setflags(write=False)
-    return HeteroGraph(num_aps=num_aps, num_ues=num_ues,
-                       ue_neighbors=ue_nbrs, ap_neighbors=ap_nbrs)
+    return HeteroGraph(num_aps=num_aps, num_ues=num_ues)

@@ -53,10 +53,6 @@ class LayerPlan:
                                  f"{self.heads} heads")
 
     @property
-    def num_transitions(self) -> int:
-        return len(self.sizes) - 1
-
-    @property
     def transformer_transitions(self) -> int:
         return len(self.sizes) - 2
 
@@ -116,28 +112,6 @@ def init_model(plan: LayerPlan | None = None, seed: int = 0,
     if norm is None:
         norm = NormStats(0.0, 1.0, 0.0, 1.0)
     return GnnModel(plan=plan, params=params, norm=norm)
-
-
-@dataclass(frozen=True)
-class HeadView:
-    """Per-head read views of one (layer, edge type) parameter block."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    w4: np.ndarray
-    b4: np.ndarray
-
-
-def head_params(model: GnnModel, t: int, edge_type: str, head: int) -> HeadView:
-    if edge_type not in EDGE_TYPES:
-        raise ValueError(f"edge_type must be one of {EDGE_TYPES}")
-    prefix = f"layer{t:02d}.{edge_type}"
-    return HeadView(*(model.params[f"{prefix}.{name}"][head]
-                      for name in _MAP_NAMES))
 
 
 def _arrays_to_json(arrays: dict[str, np.ndarray]) -> dict:

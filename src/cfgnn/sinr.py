@@ -13,7 +13,9 @@ achievable SINR of user k is
 
 The numerator is coherent beamforming gain; the denominator collects noise
 plus the total power each AP radiates weighted by how strongly it is heard
-by user k.  Everything here is plain numpy on (M, K) arrays.
+by user k.  `sinr_kernel` is the one implementation of this expression,
+batched over leading axes; `compute_sinr` validates one (M, K) allocation
+and calls it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ def compute_alpha(beta: np.ndarray, rho_u: float, tau: int) -> np.ndarray:
     return g * beta / (1.0 + g)
 
 
+def sinr_kernel(beta: np.ndarray, alpha: np.ndarray, eta: np.ndarray,
+                rho_d: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched SINR over (..., M, K) arrays, without input validation.
+
+    Returns (sinr, gain, den), each (..., K): gain is the beamforming sum
+    sum_m sqrt(alpha * eta) and den the denominator 1 + rho_d * interference,
+    the intermediates the training backward pass reuses.  A batch gives the
+    same bits as one sample at a time.
+    """
+    gain = np.sqrt(alpha * eta).sum(axis=-2)
+    load = eta.sum(axis=-1)
+    den = 1.0 + rho_d * (load[..., None, :] @ beta)[..., 0, :]
+    return rho_d * gain * gain / den, gain, den
+
+
 def compute_sinr(beta: np.ndarray, alpha: np.ndarray, eta: np.ndarray,
                  rho_d: float) -> np.ndarray:
     """Per-user SINR vector of length K for one power allocation.
@@ -54,28 +71,7 @@ def compute_sinr(beta: np.ndarray, alpha: np.ndarray, eta: np.ndarray,
         raise ValueError(f"rho_d must be positive, got {rho_d}")
     if np.any(eta < 0):
         raise ValueError("eta entries must be non-negative")
-    gain = np.sqrt(alpha * eta).sum(axis=0)
-    ap_load = eta.sum(axis=1)
-    interference = beta.T @ ap_load
-    return rho_d * gain * gain / (1.0 + rho_d * interference)
-
-
-def compute_sinr_batch(beta: np.ndarray, alpha: np.ndarray, eta: np.ndarray,
-                       rho_d: float) -> np.ndarray:
-    """SINR for a batch of allocations: eta (..., M, K) -> (..., K).
-
-    beta and alpha may be (M, K) or broadcastable against eta.  No input
-    validation beyond shape compatibility; intended for inner loops.
-    """
-    gain = np.sqrt(alpha * np.maximum(eta, 0.0)).sum(axis=-2)
-    ap_load = eta.sum(axis=-1)
-    interference = np.einsum("...mk,...m->...k", np.broadcast_to(beta, eta.shape), ap_load)
-    return rho_d * gain * gain / (1.0 + rho_d * interference)
-
-
-def min_sinr(sinr: np.ndarray) -> float:
-    """Worst-user SINR, the quantity max-min power control maximises."""
-    return float(np.min(sinr))
+    return sinr_kernel(beta, alpha, eta, rho_d)[0]
 
 
 def spectral_efficiency(sinr: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The network is trained to minimise the mean square error of the per-user
 SINR, not of the powers: predictions are denormalized (eta = 2^(x*std+mean),
-no projection by default) and pushed through the exact SINR expression, and
+no projection) and pushed through the exact SINR expression, and
 the gradient is propagated back through that whole chain by hand.  The
 derivative of the SINR numerator would blow up as eta -> 0 if written
 naively; fusing it with the 2^x factor gives the stable form
@@ -14,8 +14,9 @@ where dN and dD are the loss gradients with respect to the beamforming sum
 and the denominator.
 
 Everything is reproducible: batch composition depends only on (seed, epoch),
-so training can resume from any epoch checkpoint bit-identically, and all
-arithmetic runs in fixed order.
+and each epoch checkpoint carries the optimizer state and the best
+validation loss so far, so training can resume from it bit-identically,
+and all arithmetic runs in fixed order.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channel import RadioDefaults
-from .data import NormStats, Sample, compute_norm_stats, normalize_input
+from .data import (NormStats, Sample, compute_norm_stats, denormalize_output,
+                   normalize_input)
 from .engine import backward, forward
 from .graph import build_graph
 from .model import GnnModel, LayerPlan, init_model, load_checkpoint, save_checkpoint
+from .sinr import compute_alpha, sinr_kernel
 
 LN2 = math.log(2.0)
 
@@ -47,10 +50,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     val_fraction: float = 0.1
-    loss_on_projected: bool = False
-    weight_decay: float = 0.0
-    grad_clip: float | None = None
-    keep_epoch_checkpoints: bool = True
 
     def __post_init__(self) -> None:
         if self.lr < 0:
@@ -74,19 +73,9 @@ def sinr_mse_loss(sinr_opt: np.ndarray, sinr_pred: np.ndarray) -> float:
     return float(np.mean(per_sample))
 
 
-def _sinr_batch(beta: np.ndarray, alpha: np.ndarray, eta: np.ndarray,
-                rho_d: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched SINR plus the intermediates needed by the backward pass."""
-    gain = np.sqrt(alpha * eta).sum(axis=1)                    # (S, K)
-    load = eta.sum(axis=2)                                     # (S, M)
-    den = 1.0 + rho_d * np.einsum("smk,sm->sk", beta, load)    # (S, K)
-    sinr = rho_d * gain * gain / den
-    return sinr, gain, den
-
-
 def loss_and_grads(model: GnnModel, batch_x: np.ndarray, batch_beta: np.ndarray,
                    batch_alpha: np.ndarray, batch_sinr_opt: np.ndarray,
-                   rho_d: float, loss_on_projected: bool = False
+                   rho_d: float
                    ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Loss, parameter gradients and predicted SINRs for one batch.
 
@@ -96,35 +85,19 @@ def loss_and_grads(model: GnnModel, batch_x: np.ndarray, batch_beta: np.ndarray,
     s, m, k = batch_x.shape
     graph = build_graph(m, k)
     y, tape = forward(graph, batch_x, model, want_tape=True)
-    norm = model.norm
-    xhat = y * norm.out_std + norm.out_mean
-    eta = np.exp2(xhat)
-
-    if loss_on_projected:
-        sums = eta.sum(axis=-1)                                # (S, M)
-        over = sums > 1.0
-        scale = np.where(over, 1.0 / np.maximum(sums, 1e-300), 1.0)
-        eta_used = eta * scale[..., None]
-    else:
-        eta_used = eta
-
-    sinr, gain, den = _sinr_batch(batch_beta, batch_alpha, eta_used, rho_d)
+    eta = denormalize_output(y, model.norm)
+    sinr, gain, den = sinr_kernel(batch_beta, batch_alpha, eta, rho_d)
     loss = sinr_mse_loss(batch_sinr_opt, sinr)
 
     dpred = 2.0 * (sinr - batch_sinr_opt) / (s * k)            # (S, K)
     dgain = dpred * 2.0 * rho_d * gain / den                   # (S, K)
     dden = -dpred * rho_d * gain * gain / (den * den)          # (S, K)
     # d eta (stable: fused with the 2^x factor only at the end)
-    root = np.sqrt(batch_alpha * eta_used)                     # (S, M, K)
-    deta = (0.5 * dgain[:, None, :] * root / np.maximum(eta_used, 1e-300)
+    root = np.sqrt(batch_alpha * eta)                          # (S, M, K)
+    deta = (0.5 * dgain[:, None, :] * root / np.maximum(eta, 1e-300)
             + rho_d * np.einsum("smk,sk->sm", batch_beta, dden)[:, :, None])
-    if loss_on_projected:
-        # eta_used = eta * scale(sum(eta)); backward through the row scaling.
-        dscale = (deta * eta).sum(axis=-1)                     # (S, M)
-        dsums = np.where(over, -dscale / (sums * sums), 0.0)
-        deta = deta * scale[..., None] + dsums[..., None]
     dxhat = LN2 * eta * deta
-    dy = dxhat * norm.out_std
+    dy = dxhat * model.norm.out_std
     grads = backward(model, tape, dy)
     return loss, grads, sinr
 
@@ -149,17 +122,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    if cfg.grad_clip is not None:
-        norm2 = 0.0
-        for g in grads.values():
-            norm2 += float(np.sum(g * g))
-        scale = min(1.0, cfg.grad_clip / max(math.sqrt(norm2), 1e-300))
-    else:
-        scale = 1.0
     for name, p in params.items():
-        g = grads[name] * scale
-        if cfg.weight_decay:
-            g = g + cfg.weight_decay * p
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
         m *= cfg.beta1
@@ -203,7 +167,6 @@ class _Bucket:
 
 def _make_buckets(samples: list[Sample], stats: NormStats,
                   radio: RadioDefaults) -> list[_Bucket]:
-    from .sinr import compute_alpha
     rho_u = radio.rho_u()
     order: list[tuple[int, int]] = []
     grouped: dict[tuple[int, int], list[Sample]] = {}
@@ -238,19 +201,14 @@ def _epoch_batches(buckets: list[_Bucket], batch_size: int,
     return [batches[i] for i in order]
 
 
-def _validation_loss(model: GnnModel, buckets: list[_Bucket], rho_d: float,
-                     loss_on_projected: bool) -> float:
+def _validation_loss(model: GnnModel, buckets: list[_Bucket],
+                     rho_d: float) -> float:
     total, count = 0.0, 0
     for bucket in buckets:
         graph = build_graph(bucket.num_aps, bucket.num_ues)
         y = forward(graph, bucket.x, model)
-        xhat = y * model.norm.out_std + model.norm.out_mean
-        eta = np.exp2(xhat)
-        if loss_on_projected:
-            sums = eta.sum(axis=-1)
-            scale = np.where(sums > 1.0, 1.0 / np.maximum(sums, 1e-300), 1.0)
-            eta = eta * scale[..., None]
-        sinr, _, _ = _sinr_batch(bucket.beta, bucket.alpha, eta, rho_d)
+        eta = denormalize_output(y, model.norm)
+        sinr, _, _ = sinr_kernel(bucket.beta, bucket.alpha, eta, rho_d)
         per_sample = np.mean((bucket.sinr_opt - sinr) ** 2, axis=-1)
         total += float(per_sample.sum())
         count += per_sample.size
@@ -266,9 +224,9 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
     Normalisation statistics come from train_set only and are frozen into
     every checkpoint.  Writes metrics.csv (epoch,train_loss,val_loss,wall_ms),
     checkpoints/epoch_NNN.json and best.json under out_dir.  Resuming from an
-    epoch checkpoint continues bit-identically because batch shuffling is a
-    pure function of (seed, epoch) and the optimizer state rides along in the
-    checkpoint.
+    epoch checkpoint continues bit-identically, best.json included, because
+    batch shuffling is a pure function of (seed, epoch) and the optimizer
+    state and best validation loss ride along in the checkpoint.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -288,17 +246,19 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
             opt.m[name] = arrays[f"adam_m.{name}"]
             opt.v[name] = arrays[f"adam_v.{name}"]
         start_epoch = int(rest["extra"]["epoch"])
+        saved_best = rest["extra"]["best_val"]
+        best_val = math.inf if saved_best is None else float(saved_best)
     else:
         stats = compute_norm_stats(train_set)
         model = init_model(plan, seed=cfg.seed, norm=stats)
         opt = init_adam(model)
         start_epoch = 0
+        best_val = math.inf
 
     train_buckets = _make_buckets(train_set, stats, radio)
     val_buckets = _make_buckets(val_set, stats, radio) if val_set else []
 
     history: list[dict] = []
-    best_val = math.inf
     metrics_path = out / "metrics.csv"
     write_header = not metrics_path.exists() or resume_from is None
     metrics_fh = open(metrics_path, "w" if resume_from is None else "a",
@@ -317,7 +277,7 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
                 bucket = train_buckets[b]
                 loss, grads, _ = loss_and_grads(
                     model, bucket.x[idx], bucket.beta[idx], bucket.alpha[idx],
-                    bucket.sinr_opt[idx], rho_d, cfg.loss_on_projected)
+                    bucket.sinr_opt[idx], rho_d)
                 if not math.isfinite(loss):
                     dump = out / "diagnostic_dump.json"
                     save_checkpoint(model, str(dump),
@@ -331,25 +291,29 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
                 loss_sum += loss * len(idx)
                 n_seen += len(idx)
             train_loss = loss_sum / max(n_seen, 1)
-            val_loss = (_validation_loss(model, val_buckets, rho_d,
-                                         cfg.loss_on_projected)
+            val_loss = (_validation_loss(model, val_buckets, rho_d)
                         if val_buckets else math.nan)
             wall_ms = (time.perf_counter() - t0) * 1e3
 
-            extra = {"epoch": epoch, "adam_t": opt.t}
+            improved = val_loss < best_val     # never true without a val set
+            if improved:
+                best_val = val_loss
+            # JSON has no infinity: null stands for "no validation loss yet".
+            extra = {"epoch": epoch, "adam_t": opt.t,
+                     "best_val": best_val if math.isfinite(best_val) else None}
             extra_arrays = {}
             for name in model.params:
                 extra_arrays[f"adam_m.{name}"] = opt.m[name]
                 extra_arrays[f"adam_v.{name}"] = opt.v[name]
-            ckpt_path = out / "checkpoints" / f"epoch_{epoch:03d}.json"
-            if cfg.keep_epoch_checkpoints or epoch == cfg.epochs:
-                save_checkpoint(model, str(ckpt_path),
-                                fingerprint=cfg.fingerprint(),
-                                extra_arrays=extra_arrays, extra=extra)
-            if val_buckets and val_loss < best_val:
-                best_val = val_loss
+            # best.json first: once the epoch checkpoint exists, a resume
+            # from it relies on best.json being current.
+            if improved:
                 save_checkpoint(model, str(out / "best.json"),
                                 fingerprint=cfg.fingerprint(), extra=extra)
+            ckpt_path = out / "checkpoints" / f"epoch_{epoch:03d}.json"
+            save_checkpoint(model, str(ckpt_path),
+                            fingerprint=cfg.fingerprint(),
+                            extra_arrays=extra_arrays, extra=extra)
             writer.writerow([epoch, repr(train_loss), repr(val_loss),
                              f"{wall_ms:.1f}"])
             metrics_fh.flush()

@@ -222,7 +222,7 @@ def test_criterion_6_projection_budget_and_idempotence():
 
 def test_criterion_7_flop_scaling_and_counts():
     grid = [(m, k) for m in (8, 16, 32, 64, 128) for k in (5, 9, 18, 32)]
-    counts = {mk: count_flops(*mk, mode="instrumented") for mk in grid}
+    counts = {mk: count_flops(*mk) for mk in grid}
     x = np.array([m * k * (m + k) for m, k in grid], dtype=float)
     y = np.array([counts[mk] for mk in grid], dtype=float)
     design = np.stack([x, np.ones_like(x)], axis=1)

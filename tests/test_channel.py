@@ -13,7 +13,6 @@ from cfgnn.channel import (
     generate_deployment,
     generate_fading,
     generate_sample_fading,
-    load_overrides,
     make_scenario,
     path_loss_db,
 )
@@ -133,29 +132,3 @@ def test_make_scenario_defaults_and_validation():
         make_scenario(8, 3, "desert")
     with pytest.raises(ValueError):
         make_scenario(0, 3, "urban")
-
-
-def test_overrides_file_roundtrip(tmp_path):
-    path = tmp_path / "radio.cfg"
-    path.write_text(
-        "# comment line\n"
-        "urban.radius_m = 600\n"
-        "bandwidth_hz = 10e6\n"
-        "min_distance_m = 2.5\n",
-        encoding="utf-8",
-    )
-    morphologies, radio, scenario = load_overrides(str(path))
-    assert morphologies["urban"].radius_m == 600.0
-    assert morphologies["urban"].pl_exponent == MORPHOLOGIES["urban"].pl_exponent
-    assert radio.bandwidth_hz == 10e6
-    assert scenario == {"min_distance_m": 2.5}
-
-
-def test_overrides_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("urbn.radius_m = 600\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_overrides(str(path))
-    path.write_text("frequency_ghz = 2\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_overrides(str(path))

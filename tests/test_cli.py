@@ -108,7 +108,7 @@ def test_flops_csv(tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         m, k, flops = (int(v) for v in line.split(","))
-        assert flops == count_flops(m, k, mode="instrumented")
+        assert flops == count_flops(m, k)
     with pytest.raises(SystemExit) as exc:
         main(["flops", "--grid", "2x", "--out", str(out)])
     assert exc.value.code == 2
@@ -121,3 +121,40 @@ def test_train_unlabeled_data_is_runtime_error(tmp_path, capsys):
     rc = main(["train", "--data", str(raw), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert "labeled" in capsys.readouterr().err
+
+
+def test_train_config_with_removed_key_is_usage_error(tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    main(["gen-data", "--scenarios", "2x2:urban", "--count", "2",
+          "--out", str(raw), "--seed", "2"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grad_clip": 1.0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(raw), "--config", str(cfg),
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "bad training config" in capsys.readouterr().err
+
+
+def test_malformed_dataset_exits_one_with_line_number(tmp_path, capsys):
+    from cfgnn.model import init_model, save_checkpoint
+
+    raw = tmp_path / "raw.jsonl"
+    main(["gen-data", "--scenarios", "2x2:urban", "--count", "2",
+          "--out", str(raw), "--seed", "2"])
+    lines = raw.read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["beta"][0] = -doc["beta"][0]
+    lines[1] = json.dumps(doc)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "model.json"
+    save_checkpoint(init_model(seed=0), str(model))
+    capsys.readouterr()
+    for argv in (["solve", "--in", str(bad), "--out", str(tmp_path / "l")],
+                 ["train", "--data", str(bad), "--out", str(tmp_path / "r")],
+                 ["eval", "--model", str(model), "--data", str(bad),
+                  "--report-dir", str(tmp_path / "rep")]):
+        assert main(["--threads", "1", *argv]) == 1, argv
+        assert f"{bad}:2: beta entries must be positive" in \
+            capsys.readouterr().err, argv

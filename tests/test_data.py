@@ -1,6 +1,7 @@
 """Dataset generation, JSONL serialization, and log-domain normalization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from cfgnn.data import (
     generate_unlabeled,
     label_samples,
     normalize_input,
-    normalize_output,
-    preprocess,
     read_jsonl,
     sample_from_json,
     sample_to_json,
@@ -102,7 +101,7 @@ def test_norm_stats_standardize_and_roundtrip(labeled_4x2):
     assert x.shape == (4, 2)
     # output transform round-trips through its inverse
     eta = np.asarray(labeled_4x2[0].eta_opt)
-    y = normalize_output(eta, stats)
+    y = (np.log2(np.maximum(eta, 1e-12)) - stats.out_mean) / stats.out_std
     np.testing.assert_allclose(denormalize_output(y, stats),
                                np.maximum(eta, 1e-12), rtol=1e-12)
 
@@ -120,10 +119,57 @@ def test_log2_transform_compresses_range():
     assert -50 < lo < hi < -16
 
 
-def test_preprocess_returns_features_and_stats(labeled_4x2):
-    features, stats = preprocess(labeled_4x2)
-    assert len(features) == len(labeled_4x2)
-    assert features[0].shape == (4, 2)
-    pooled = np.concatenate([f.ravel() for f in features])
-    assert pooled.mean() == pytest.approx(0.0, abs=1e-12)
-    assert pooled.std() == pytest.approx(1.0, rel=1e-9)
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+def test_labels_reproduce_committed_fixture_bytes():
+    """The solver's labels are part of the data contract: the first rows of
+    the committed held-out fixture must come out byte for byte."""
+    committed = (FIXTURE / "heldout_8x3.jsonl").read_text(
+        encoding="utf-8").splitlines()[:8]
+    samples = generate_unlabeled([(8, 3, "urban", 8)], run_seed=816)
+    labeled = label_samples(samples, threads=1)
+    assert [sample_to_json(s) for s in labeled] == committed
+
+
+def _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt):
+    good = sample_to_json(labeled_4x2[0])
+    doc = json.loads(sample_to_json(labeled_4x2[1]))
+    corrupt(doc)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(good + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("field", ["beta", "eta_opt", "sinr_opt"])
+def test_read_jsonl_rejects_wrong_length(tmp_path, labeled_4x2, field):
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2,
+                                       lambda doc: doc[field].pop())
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {field} has shape"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ["beta", "eta_opt", "sinr_opt"])
+def test_read_jsonl_rejects_non_finite(tmp_path, labeled_4x2, field):
+    def corrupt(doc):
+        doc[field][0] = float("nan")
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {field} holds non-finite"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-9])
+def test_read_jsonl_rejects_nonpositive_beta(tmp_path, labeled_4x2, value):
+    def corrupt(doc):
+        doc["beta"][3] = value
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: beta entries must be positive"):
+        read_jsonl(path)
+
+
+def test_read_jsonl_rejects_negative_eta(tmp_path, labeled_4x2):
+    def corrupt(doc):
+        doc["eta_opt"][1] = -1e-3
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: eta_opt entries must be non-negative"):
+        read_jsonl(path)

@@ -1,8 +1,8 @@
 """Forward pass: attention, typed aggregation, layer transitions, projection.
 
-The batched kernels are validated against a slow per-node reference and
-against hand-computed values on tiny configurations, plus a frozen-seed
-golden vector that pins down the exact numerics.
+The batched kernels are validated against the slow per-node reference in
+`reference` and against hand-computed values on tiny configurations, plus a
+frozen-seed golden vector that pins down the exact numerics.
 """
 
 import math
@@ -11,23 +11,17 @@ import numpy as np
 import pytest
 
 from cfgnn.data import NormStats
-from cfgnn.engine import (
-    attention_weights,
-    count_flops,
-    forward,
-    forward_reference,
-    layer_forward,
-    project_powers,
-    typed_aggregate,
-)
+from cfgnn.engine import count_flops, forward, project_powers
+from cfgnn.flops import gnn_forward_flops
 from cfgnn.graph import build_graph
-from cfgnn.model import (
-    GnnModel,
-    LayerPlan,
+from cfgnn.model import LayerPlan, init_model, load_checkpoint, save_checkpoint
+from reference import (
+    attention_weights,
+    forward_reference,
     head_params,
-    init_model,
-    load_checkpoint,
-    save_checkpoint,
+    layer_forward,
+    neighbor_graph,
+    typed_aggregate,
 )
 
 NORM = NormStats(0.0, 1.0, -2.0, 1.0)
@@ -74,7 +68,7 @@ def _tiny_model():
 
 def test_typed_aggregate_zero_value_maps_leave_self_term():
     model = _tiny_model()
-    graph = build_graph(2, 2)
+    graph = neighbor_graph(2, 2)
     for name in list(model.params):
         if ".w2" in name or ".b2" in name:
             model.params[name][:] = 0.0
@@ -92,7 +86,7 @@ def test_typed_aggregate_hand_weighted_sum():
     """Two neighbours at weights (0.25, 0.75): aggregate matches by hand."""
     plan = LayerPlan(sizes=(1, 2, 1))
     model = init_model(plan, seed=0, norm=NORM)
-    graph = build_graph(3, 1)   # node 0 has UE neighbours 1 and 2
+    graph = neighbor_graph(3, 1)   # node 0 has UE neighbours 1 and 2
     for c in range(2):
         pre = f"layer00.ue"
         model.params[f"{pre}.w1"][c] = 0.0
@@ -111,7 +105,7 @@ def test_typed_aggregate_hand_weighted_sum():
 
 def test_empty_ue_neighborhood_keeps_self_term_only():
     model = _tiny_model()
-    graph = build_graph(1, 3)   # M = 1: UE neighbourhoods are empty
+    graph = neighbor_graph(1, 3)   # M = 1: UE neighbourhoods are empty
     features = np.random.default_rng(1).standard_normal((3, 1))
     for node in range(3):
         got = typed_aggregate(node, features, graph, "ue", model, 0)
@@ -124,7 +118,7 @@ def test_empty_ue_neighborhood_keeps_self_term_only():
 
 def test_layer_forward_dead_activation_maps_to_bias():
     model = _tiny_model()
-    graph = build_graph(2, 2)
+    graph = neighbor_graph(2, 2)
     # force all pre-activations negative via hugely negative biases
     for name, p in model.params.items():
         if name.endswith(".b1"):
@@ -139,7 +133,7 @@ def test_layer_forward_dead_activation_maps_to_bias():
 def test_layer_forward_normalizes_rows():
     plan = LayerPlan(sizes=(1, 8, 1))
     model = init_model(plan, seed=3, norm=NORM)
-    graph = build_graph(3, 2)
+    graph = neighbor_graph(3, 2)
     features = np.random.default_rng(5).standard_normal((6, 1))
     out = layer_forward(graph, features, model, 0)
     gain = model.params["layer00.ln_gain"]
@@ -159,17 +153,16 @@ def test_layer_forward_normalizes_rows():
 
 def test_layer_forward_shape_mismatch_raises():
     model = _tiny_model()
-    graph = build_graph(2, 2)
+    graph = neighbor_graph(2, 2)
     with pytest.raises(ValueError):
         layer_forward(graph, np.ones((4, 3)), model, 0)
 
 
 def test_batched_forward_matches_reference():
-    graph = build_graph(4, 3)
     model = init_model(seed=11, norm=NORM)
     x = np.random.default_rng(2).standard_normal((4, 3))
-    got = forward(graph, x, model)
-    want = forward_reference(graph, x, model)
+    got = forward(build_graph(4, 3), x, model)
+    want = forward_reference(neighbor_graph(4, 3), x, model)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -289,9 +282,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def test_count_flops_modes_agree():
     for m, k in [(2, 2), (8, 5), (16, 1), (1, 16)]:
-        inst = count_flops(m, k, mode="instrumented")
-        analytic = count_flops(m, k, mode="analytic")
+        inst = count_flops(m, k)
+        analytic = gnn_forward_flops(LayerPlan(), m, k).total
         assert inst > 0
         assert abs(inst - analytic) / inst < 0.01
-    with pytest.raises(ValueError):
-        count_flops(2, 2, mode="exact")

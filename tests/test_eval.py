@@ -31,7 +31,7 @@ def test_evaluate_self_comparison_is_zero_loss(labeled_4x2, radio):
 
 def test_evaluate_real_model(tiny_run, labeled_4x2, radio):
     report = evaluate(tiny_run["model"], labeled_4x2, radio.rho_d(),
-                      radio.rho_u(), include_flops=False)
+                      radio.rho_u())
     assert report.scenario == scenario_tag(4, 2, "urban")
     n = len(labeled_4x2) * 2
     for method in METHODS:
@@ -49,7 +49,7 @@ def test_equal_power_loses_to_optimal(labeled_8x3, tiny_run, radio):
     objective protects the worst user, not the median), so this baseline
     comparison is pinned at the 8-AP scale."""
     report = evaluate(tiny_run["model"], labeled_8x3, radio.rho_d(),
-                      radio.rho_u(), include_flops=False)
+                      radio.rho_u())
     opt_med = np.median(report.se_sorted["optimal"])
     eq_med = np.median(report.se_sorted["equal_power"])
     assert eq_med < opt_med
@@ -69,10 +69,8 @@ def test_evaluate_rejects_empty_and_unlabeled(tiny_run, radio, labeled_4x2):
 def test_cdf_pooling_is_permutation_invariant(tiny_run, labeled_4x2, radio):
     shuffled = list(labeled_4x2)
     np.random.default_rng(0).shuffle(shuffled)
-    a = evaluate(tiny_run["model"], labeled_4x2, radio.rho_d(), radio.rho_u(),
-                 include_flops=False)
-    b = evaluate(tiny_run["model"], shuffled, radio.rho_d(), radio.rho_u(),
-                 include_flops=False)
+    a = evaluate(tiny_run["model"], labeled_4x2, radio.rho_d(), radio.rho_u())
+    b = evaluate(tiny_run["model"], shuffled, radio.rho_d(), radio.rho_u())
     for method in METHODS:
         np.testing.assert_array_equal(a.se_sorted[method], b.se_sorted[method])
     assert a.loss_at_median == b.loss_at_median
@@ -80,7 +78,7 @@ def test_cdf_pooling_is_permutation_invariant(tiny_run, labeled_4x2, radio):
 
 def test_cdf_csv_format(tmp_path, tiny_run, labeled_4x2, radio):
     report = evaluate(tiny_run["model"], labeled_4x2[:1], radio.rho_d(),
-                      radio.rho_u(), include_flops=False)
+                      radio.rho_u())
     path = tmp_path / "cdf.csv"
     export_cdf_csv(report, str(path))
     with open(path, newline="") as fh:

@@ -37,22 +37,22 @@ def test_analytic_count_positive_and_monotone():
 
 def test_instrumented_matches_analytic_within_one_percent():
     for m, k in [(2, 2), (4, 3), (8, 5), (16, 2), (1, 8), (8, 1), (32, 9)]:
-        inst = count_flops(m, k, mode="instrumented")
-        analytic = count_flops(m, k, mode="analytic")
+        inst = count_flops(m, k)
+        analytic = gnn_forward_flops(LayerPlan(), m, k).total
         rel = abs(inst - analytic) / inst
         assert rel < 0.01, f"({m},{k}): inst {inst} analytic {analytic} rel {rel:.2e}"
 
 
 def test_counts_scale_with_edge_term():
     """Totals grow like M*K*(M+K) when sizes double."""
-    base = count_flops(8, 4, mode="analytic")
-    double_m = count_flops(16, 4, mode="analytic")
+    base = gnn_forward_flops(LayerPlan(), 8, 4).total
+    double_m = gnn_forward_flops(LayerPlan(), 16, 4).total
     # edge term dominates; ratio should sit between the node ratio (2) and
     # the pure quadratic AP-pair ratio (4)
     assert 2.0 < double_m / base < 4.5
 
 
 def test_smallest_instance_runs():
-    total = count_flops(1, 1, mode="instrumented")
+    total = count_flops(1, 1)
     assert total > 0
     assert np.isfinite(total)

@@ -14,7 +14,7 @@ from cfgnn.maxmin import (
     solve_maxmin,
     upper_bound_sinr,
 )
-from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible, min_sinr
+from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible
 
 
 def _instance(m, k, seed, morphology="urban"):
@@ -67,7 +67,7 @@ def test_solution_feasible_and_certified():
         alpha = compute_alpha(beta, cfg.rho_u, 3)
         sinr = compute_sinr(beta, alpha, sol.eta, cfg.rho_d)
         # t_star reports the exact worst-user SINR of the returned powers
-        assert min_sinr(sinr) == pytest.approx(sol.t_star, rel=1e-12)
+        assert float(sinr.min()) == pytest.approx(sol.t_star, rel=1e-12)
         assert sol.t_star < upper_bound_sinr(beta, alpha, cfg.rho_d)
 
 

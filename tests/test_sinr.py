@@ -7,9 +7,8 @@ from cfgnn.channel import make_scenario, generate_sample_fading
 from cfgnn.sinr import (
     compute_alpha,
     compute_sinr,
-    compute_sinr_batch,
     is_feasible,
-    min_sinr,
+    sinr_kernel,
     spectral_efficiency,
 )
 
@@ -89,16 +88,21 @@ def test_sinr_matches_naive_double_loop():
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_sinr_batch_matches_single():
+def test_sinr_kernel_batch_equals_single_exactly():
+    """One batched call gives the same bits as compute_sinr one at a time,
+    so training losses and evaluation reports share one rounding."""
     rng = np.random.default_rng(5)
-    beta = 10.0 ** rng.uniform(-11, -8, size=(4, 3, 2))
-    alpha = np.stack([compute_alpha(b, 1e10, 2) for b in beta])
-    eta = rng.random((4, 3, 2)) / 2
-    batch = compute_sinr_batch(beta, alpha, eta, 1e11)
-    for s in range(4):
-        np.testing.assert_allclose(batch[s],
-                                   compute_sinr(beta[s], alpha[s], eta[s], 1e11),
-                                   rtol=1e-13)
+    for m, k in [(1, 1), (3, 2), (8, 3), (32, 9)]:
+        beta = 10.0 ** rng.uniform(-12, -7, size=(16, m, k))
+        alpha = np.stack([compute_alpha(b, 1e11, k) for b in beta])
+        eta = rng.random((16, m, k))
+        eta /= np.maximum(eta.sum(axis=-1, keepdims=True), 1.0)
+        sinr, gain, den = sinr_kernel(beta, alpha, eta, 2e11)
+        assert sinr.shape == gain.shape == den.shape == (16, k)
+        single = np.stack([compute_sinr(beta[s], alpha[s], eta[s], 2e11)
+                           for s in range(16)])
+        np.testing.assert_array_equal(sinr, single)
+        np.testing.assert_array_equal(sinr, 2e11 * gain * gain / den)
 
 
 def test_sinr_rejects_negative_eta():
@@ -122,13 +126,10 @@ def test_sinr_permutation_equivariance():
     np.testing.assert_allclose(permuted, base[perm_ue], rtol=1e-12)
 
 
-def test_min_sinr_and_spectral_efficiency():
-    s = np.array([1.0, 3.0])
-    assert min_sinr(s) == 1.0
-    np.testing.assert_allclose(spectral_efficiency(s), [1.0, 2.0])
+def test_spectral_efficiency_values():
+    np.testing.assert_allclose(spectral_efficiency(np.array([1.0, 3.0])),
+                               [1.0, 2.0])
     assert spectral_efficiency(np.array([0.0]))[0] == 0.0
-    perm = np.array([3.0, 1.0])
-    assert min_sinr(perm) == min_sinr(s)
 
 
 def test_is_feasible_cases():

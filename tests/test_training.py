@@ -10,6 +10,7 @@ import pytest
 from cfgnn.channel import RadioDefaults
 from cfgnn.data import NormStats, normalize_input
 from cfgnn.model import init_model, load_checkpoint
+from cfgnn import training
 from cfgnn.sinr import compute_alpha
 from cfgnn.training import (
     AdamState,
@@ -153,7 +154,7 @@ def test_checkpoints_written_per_epoch(tiny_run):
     assert any(name.startswith("adam_m.") for name in rest["extra_arrays"])
 
 
-def test_resume_continues_bit_identically(labeled_4x2, tmp_path):
+def test_resume_continues_bit_identically(labeled_4x2, tmp_path, monkeypatch):
     cfg3 = TrainConfig(epochs=3, batch_size=8, seed=5)
     tr, va = split_train_val(labeled_4x2, cfg3)
     train(tr, va, cfg3, str(tmp_path / "straight"))
@@ -168,6 +169,30 @@ def test_resume_continues_bit_identically(labeled_4x2, tmp_path):
     a = digest(tmp_path / "straight/checkpoints/epoch_003.json")
     b = digest(tmp_path / "resumed/checkpoints/epoch_003.json")
     assert a == b
+
+    # A run killed after epoch 3 and resumed must keep the best epoch so far:
+    # here the best epoch comes before the kill, so best.json must not move.
+    cfg6 = TrainConfig(epochs=6, batch_size=8, seed=1)
+    tr, va = split_train_val(labeled_4x2, cfg6)
+    train(tr, va, cfg6, str(tmp_path / "straight6"))
+    real_save = training.save_checkpoint
+
+    def save_then_die(model, path, **kwargs):
+        real_save(model, path, **kwargs)
+        if path.endswith("epoch_003.json"):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_die)
+    with pytest.raises(KeyboardInterrupt):
+        train(tr, va, cfg6, str(tmp_path / "killed"))
+    monkeypatch.undo()
+    train(tr, va, cfg6, str(tmp_path / "killed"),
+          resume_from=str(tmp_path / "killed/checkpoints/epoch_003.json"))
+    assert load_checkpoint(str(tmp_path / "straight6/best.json"))[1]["extra"][
+        "epoch"] <= 3
+    for name in ("best.json", "checkpoints/epoch_006.json"):
+        assert digest(tmp_path / "straight6" / name) == \
+            digest(tmp_path / "killed" / name), name
 
 
 def test_rerun_reproduces_checkpoints_bytewise(labeled_4x2, tmp_path):
