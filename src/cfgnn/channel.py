@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 BOLTZMANN_J_PER_K = 1.380649e-23
+# Distances below this are clamped up to it before the path loss is
+# evaluated, which keeps the near-field singularity out of the model.
+MIN_DISTANCE_M = 5.0
 
 
 @dataclass(frozen=True)
@@ -58,78 +61,73 @@ MORPHOLOGIES: dict[str, Morphology] = {
 }
 
 
-@dataclass(frozen=True)
 class RadioDefaults:
     """Link-budget constants used to derive the normalised powers."""
 
-    tx_power_dl_mw: float = 200.0
-    tx_power_ul_mw: float = 100.0
-    bandwidth_hz: float = 20e6
-    noise_figure_db: float = 9.0
-    temperature_k: float = 290.0
+    TX_POWER_DL_MW = 200.0
+    TX_POWER_UL_MW = 100.0
+    BANDWIDTH_HZ = 20e6
+    NOISE_FIGURE_DB = 9.0
+    TEMPERATURE_K = 290.0
 
-    def noise_power_mw(self) -> float:
-        noise_figure = 10.0 ** (self.noise_figure_db / 10.0)
-        watts = BOLTZMANN_J_PER_K * self.temperature_k * self.bandwidth_hz * noise_figure
+    @classmethod
+    def noise_power_mw(cls) -> float:
+        noise_figure = 10.0 ** (cls.NOISE_FIGURE_DB / 10.0)
+        watts = BOLTZMANN_J_PER_K * cls.TEMPERATURE_K * cls.BANDWIDTH_HZ * noise_figure
         return watts * 1e3
 
-    def rho_d(self) -> float:
+    @classmethod
+    def rho_d(cls) -> float:
         """Downlink transmit power normalised by the noise power."""
-        return self.tx_power_dl_mw / self.noise_power_mw()
+        return cls.TX_POWER_DL_MW / cls.noise_power_mw()
 
-    def rho_u(self) -> float:
+    @classmethod
+    def rho_u(cls) -> float:
         """Uplink pilot transmit power normalised by the noise power."""
-        return self.tx_power_ul_mw / self.noise_power_mw()
+        return cls.TX_POWER_UL_MW / cls.noise_power_mw()
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to generate one fading realisation deterministically."""
+    """Everything needed to generate one fading realisation deterministically.
+
+    The powers come from RadioDefaults, and tau = num_ues (orthogonal
+    pilots, one per user).
+    """
 
     num_aps: int
     num_ues: int
     morphology: Morphology
-    rho_d: float
-    rho_u: float
-    tau: int
-    min_distance_m: float = 5.0
 
     def __post_init__(self) -> None:
         if self.num_aps < 1:
             raise ValueError(f"num_aps must be >= 1, got {self.num_aps}")
         if self.num_ues < 1:
             raise ValueError(f"num_ues must be >= 1, got {self.num_ues}")
-        if self.rho_d <= 0 or self.rho_u <= 0:
-            raise ValueError("rho_d and rho_u must be positive")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.min_distance_m <= 0:
-            raise ValueError("min_distance_m must be positive")
+
+    @property
+    def rho_d(self) -> float:
+        return RadioDefaults.rho_d()
+
+    @property
+    def rho_u(self) -> float:
+        return RadioDefaults.rho_u()
+
+    @property
+    def tau(self) -> int:
+        return self.num_ues
 
 
-def make_scenario(num_aps: int, num_ues: int, morphology: str | Morphology,
-                  radio: RadioDefaults | None = None,
-                  tau: int | None = None,
-                  min_distance_m: float = 5.0) -> ScenarioConfig:
-    """Build a ScenarioConfig from sizes and a morphology name.
-
-    tau defaults to num_ues (orthogonal pilots, one per user).
-    """
+def make_scenario(num_aps: int, num_ues: int,
+                  morphology: str | Morphology) -> ScenarioConfig:
+    """Build a ScenarioConfig from sizes and a morphology name."""
     if isinstance(morphology, str):
         if morphology not in MORPHOLOGIES:
             raise ValueError(f"unknown morphology {morphology!r}; "
                              f"expected one of {sorted(MORPHOLOGIES)}")
         morphology = MORPHOLOGIES[morphology]
-    radio = radio if radio is not None else RadioDefaults()
-    return ScenarioConfig(
-        num_aps=num_aps,
-        num_ues=num_ues,
-        morphology=morphology,
-        rho_d=radio.rho_d(),
-        rho_u=radio.rho_u(),
-        tau=tau if tau is not None else num_ues,
-        min_distance_m=min_distance_m,
-    )
+    return ScenarioConfig(num_aps=num_aps, num_ues=num_ues,
+                          morphology=morphology)
 
 
 @dataclass(frozen=True)
@@ -171,14 +169,12 @@ def generate_fading(deployment: Deployment, cfg: ScenarioConfig,
                     rng: np.random.Generator) -> np.ndarray:
     """Large-scale fading matrix beta with shape (M, K), linear scale.
 
-    Distances below cfg.min_distance_m are clamped up to it before the path
-    loss is evaluated, which keeps the near-field singularity out of the
-    model.  Shadow fading draws one normal per (AP, user) pair in row-major
-    order.
+    Distances are clamped up to MIN_DISTANCE_M.  Shadow fading draws one
+    normal per (AP, user) pair in row-major order.
     """
     diff = deployment.ap_positions[:, None, :] - deployment.ue_positions[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    dist = np.maximum(dist, cfg.min_distance_m)
+    dist = np.maximum(dist, MIN_DISTANCE_M)
     pl = path_loss_db(dist, cfg.morphology)
     shadow = rng.standard_normal(dist.shape) * cfg.morphology.shadow_sigma_db
     beta = 10.0 ** (-(pl + shadow) / 10.0)

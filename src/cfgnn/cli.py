@@ -101,7 +101,6 @@ def _cmd_train(args, parser) -> int:
 def _cmd_eval(args, parser) -> int:
     _require_file(parser, args.model)
     _require_file(parser, args.data)
-    from .channel import RadioDefaults
     from .data import read_jsonl
     from .eval import evaluate, export_cdf_csv, export_summary_csv
     from .model import load_checkpoint
@@ -110,7 +109,6 @@ def _cmd_eval(args, parser) -> int:
     if not samples:
         print("error: empty evaluation set", file=sys.stderr)
         return 1
-    radio = RadioDefaults()
     groups: dict[tuple[int, int, str], list] = {}
     order = []
     for sample in samples:
@@ -123,7 +121,7 @@ def _cmd_eval(args, parser) -> int:
     report_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for key in order:
-        report = evaluate(model, groups[key], radio.rho_d(), radio.rho_u())
+        report = evaluate(model, groups[key])
         reports.append(report)
         tag = report.scenario.replace(":", "_")
         export_cdf_csv(report, str(report_dir / f"cdf_{tag}.csv"))

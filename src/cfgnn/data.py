@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 ETA_LOG_FLOOR = 1e-12
 STD_FLOOR = 1e-12
+LABEL_REL_TOL = 1e-6     # stored sinr_opt vs recomputation, relative
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ class Sample:
     def labeled(self) -> bool:
         return self.eta_opt is not None and self.sinr_opt is not None
 
-    def validate(self, rho_d: float, rho_u: float, tau: int,
-                 rel_tol: float = 1e-6) -> None:
+    def validate(self, rho_d: float, rho_u: float, tau: int) -> None:
         """Check label consistency: eta feasible, sinr matches recomputation."""
         if self.beta.shape != (self.num_aps, self.num_ues):
             raise ValueError(f"beta shape {self.beta.shape} does not match "
@@ -79,7 +79,7 @@ class Sample:
         alpha = compute_alpha(self.beta, rho_u, tau)
         sinr = compute_sinr(self.beta, alpha, self.eta_opt, rho_d)
         err = np.max(np.abs(sinr - self.sinr_opt) / np.maximum(self.sinr_opt, 1e-300))
-        if err > rel_tol:
+        if err > LABEL_REL_TOL:
             raise ValueError(f"stored sinr_opt deviates from recomputation "
                              f"by {err:.3g} relative")
 
@@ -185,16 +185,14 @@ def _label_one(args: tuple) -> tuple[np.ndarray, np.ndarray] | None:
     return sol.eta, sol.sinr
 
 
-def label_samples(samples: list[Sample], radio: RadioDefaults | None = None,
-                  threads: int = 1) -> list[Sample]:
+def label_samples(samples: list[Sample], threads: int = 1) -> list[Sample]:
     """Attach optimal (eta, sinr) labels; failed solves are dropped and logged.
 
     Each sample uses tau = K orthogonal pilots.  Results are deterministic for
     any thread count because each solve is pure and outputs are collected in
     input order.
     """
-    radio = radio if radio is not None else RadioDefaults()
-    rho_d, rho_u = radio.rho_d(), radio.rho_u()
+    rho_d, rho_u = RadioDefaults.rho_d(), RadioDefaults.rho_u()
     jobs = [(s.beta, rho_d, rho_u, s.num_ues) for s in samples]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import make_scenario, generate_sample_fading
+from .channel import RadioDefaults, make_scenario, generate_sample_fading
 from .data import Sample, normalize_input
 from .engine import count_flops, forward, project_powers
 from .flops import FlopCounter
@@ -55,8 +55,7 @@ def scenario_tag(num_aps: int, num_ues: int, morphology: str) -> str:
     return f"{num_aps}x{num_ues}:{morphology}"
 
 
-def evaluate(model: GnnModel, eval_set: list[Sample], rho_d: float,
-             rho_u: float) -> EvalReport:
+def evaluate(model: GnnModel, eval_set: list[Sample]) -> EvalReport:
     """Pooled per-user CDF comparison of the network against the labels.
 
     Every sample must carry its optimal solution; each uses tau = K pilots.
@@ -69,6 +68,7 @@ def evaluate(model: GnnModel, eval_set: list[Sample], rho_d: float,
     if not all(s.labeled for s in eval_set):
         raise ValueError("evaluation requires labeled samples")
 
+    rho_d, rho_u = RadioDefaults.rho_d(), RadioDefaults.rho_u()
     se: dict[str, list[float]] = {m: [] for m in METHODS}
     shapes = {(s.num_aps, s.num_ues) for s in eval_set}
     morphs = {s.morphology for s in eval_set}
@@ -106,12 +106,12 @@ def evaluate(model: GnnModel, eval_set: list[Sample], rho_d: float,
 
 
 def flop_comparison(num_aps: int, num_ues: int, model: GnnModel | None = None,
-                    seed: int = 0, morphology: str = "urban"
-                    ) -> tuple[int, int]:
-    """(gnn_flops, solver_flops) for one inference vs one instrumented solve."""
+                    morphology: str = "urban") -> tuple[int, int]:
+    """(gnn_flops, solver_flops) for one inference vs one instrumented solve
+    of sample 0 of a seed-0 draw."""
     gnn = count_flops(num_aps, num_ues, model)
     cfg = make_scenario(num_aps, num_ues, morphology)
-    beta = generate_sample_fading(cfg, seed)
+    beta = generate_sample_fading(cfg, 0)
     counter = FlopCounter()
     solve_maxmin(beta, cfg.rho_d, cfg.rho_u, cfg.tau, counter=counter)
     return gnn, counter.total

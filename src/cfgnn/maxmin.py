@@ -40,28 +40,18 @@ from .sinr import compute_alpha, compute_sinr
 _LOG_BARRIER_MU = 30.0
 _NEWTON_MAX_STEPS = 60
 _NEWTON_DEC2_TOL = 2e-9
-
-
-@dataclass(frozen=True)
-class BisectionConfig:
-    """Tolerances and limits for the outer bisection.
-
-    feas_tol: relative SINR slack accepted when certifying a feasible point.
-    rel_tol: relative width of the final bracket around the optimum.
-    spread_rel: additionally keep tightening until the per-user SINR spread
-        of the returned allocation is below spread_rel * t_star (the max-min
-        optimum equalises SINRs, so the surrogate's training target should
-        too).
-    t_lo: initial lower bracket, assumed feasible.
-    t_hi: initial upper bracket; computed from the data when None.
-    """
-
-    feas_tol: float = 1e-6
-    rel_tol: float = 1e-4
-    max_iter: int = 60
-    spread_rel: float = 5e-4
-    t_lo: float = 1e-6
-    t_hi: float | None = None
+# Outer bisection.  A probe is feasible when its exact worst-user SINR is
+# within _FEAS_TOL (relative) of the target; bisection stops once the bracket
+# is _REL_TOL wide and the per-user SINR spread of the incumbent is below
+# _SPREAD_REL of its worst SINR (the max-min optimum equalises SINRs, so the
+# surrogate's training target should too), or after _MAX_BISECTION steps.
+# _T_FLOOR is the first lower bracket tried; weaker channels start from
+# half the equal-power worst SINR instead.
+_FEAS_TOL = 1e-6
+_REL_TOL = 1e-4
+_SPREAD_REL = 5e-4
+_MAX_BISECTION = 60
+_T_FLOOR = 1e-6
 
 
 @dataclass
@@ -70,11 +60,11 @@ class MaxMinSolution:
     eta: np.ndarray        # (M, K) power fractions
     sinr: np.ndarray       # (K,) per-user SINRs at eta
     iterations: int        # bisection steps performed
-    converged: bool        # bracket and spread targets met within max_iter
+    converged: bool        # bracket and spread targets met within _MAX_BISECTION
 
 
 class SolverError(RuntimeError):
-    """Raised when the bisection cannot even establish a feasible bracket."""
+    """Raised when no allocation gives every user a positive SINR."""
 
 
 def _state(sa: np.ndarray, bs: np.ndarray, sqrt_t: float, sig: np.ndarray,
@@ -204,7 +194,7 @@ def _center(tau: float, sa: np.ndarray, bs: np.ndarray, sqrt_t: float,
     return sig, s, state
 
 
-def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float, feas_tol: float,
+def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
                   sig_init: np.ndarray | None = None, full_center: bool = False,
                   counter: FlopCounter | None = None
                   ) -> tuple[bool, np.ndarray | None, float]:
@@ -242,7 +232,7 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float, feas_tol: float,
         gap = n_constr / tau
         if s > 0.0:
             achieved = _achieved_min_sinr(sa, bs, sig)
-            if achieved >= t * (1.0 - feas_tol):
+            if achieved >= t * (1.0 - _FEAS_TOL):
                 best = (True, sig * sig, achieved)
                 if not full_center or gap <= 1e-3 * max(abs(s), 1e-6 * scale0):
                     return best
@@ -252,7 +242,7 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float, feas_tol: float,
             if best is not None:
                 return best
             achieved = _achieved_min_sinr(sa, bs, sig)
-            if achieved >= t * (1.0 - feas_tol):
+            if achieved >= t * (1.0 - _FEAS_TOL):
                 return True, sig * sig, achieved
             return False, None, s
         tau *= _LOG_BARRIER_MU
@@ -282,7 +272,7 @@ def equal_power(num_aps: int, num_ues: int) -> np.ndarray:
 
 
 def feasibility_check(beta: np.ndarray, alpha: np.ndarray, rho_d: float,
-                      t: float, feas_tol: float = 1e-6) -> np.ndarray | None:
+                      t: float) -> np.ndarray | None:
     """Allocation meeting SINR target t for every user, or None if infeasible.
 
     The decision is rigorous in both directions: a returned eta is rechecked
@@ -293,57 +283,56 @@ def feasibility_check(beta: np.ndarray, alpha: np.ndarray, rho_d: float,
         raise ValueError("target t must be positive")
     sa = np.sqrt(rho_d * np.asarray(alpha, dtype=float))
     bs = rho_d * np.asarray(beta, dtype=float)
-    feasible, eta, _ = _margin_solve(sa, bs, t, feas_tol)
+    feasible, eta, _ = _margin_solve(sa, bs, t)
     return eta if feasible else None
 
 
 def solve_maxmin(beta: np.ndarray, rho_d: float, rho_u: float, tau_pilots: int,
-                 config: BisectionConfig | None = None,
                  counter: FlopCounter | None = None) -> MaxMinSolution:
     """Maximise the worst-user SINR subject to per-AP power budgets.
 
+    The bracket starts at [_T_FLOOR, upper_bound_sinr].  When the floor is
+    not below the upper bound, or is out of reach, half the worst SINR of
+    equal power (always admissible) is the lower bracket instead.
     Bisection maintains a feasible incumbent allocation; each feasible probe
     raises the lower bracket to the SINR its allocation actually achieves,
     which typically saves several iterations.  The final allocation comes
     from a fully centred margin solve, so its per-user SINRs are equalised
-    to within config.spread_rel relative spread.
+    to within _SPREAD_REL relative spread.
     """
-    cfg = config if config is not None else BisectionConfig()
     beta = np.asarray(beta, dtype=float)
     alpha = compute_alpha(beta, rho_u, tau_pilots)
     sa = np.sqrt(rho_d * alpha)
     bs = rho_d * beta
 
-    hi = cfg.t_hi if cfg.t_hi is not None else upper_bound_sinr(beta, alpha, rho_d)
-    lo = cfg.t_lo
-    if lo >= hi:
-        raise SolverError(f"empty bracket: t_lo={lo} >= t_hi={hi}")
-
-    feasible, eta, achieved = _margin_solve(sa, bs, lo, cfg.feas_tol,
-                                            counter=counter)
+    hi = upper_bound_sinr(beta, alpha, rho_d)
+    lo = _T_FLOOR
+    feasible = False
+    if lo < hi:
+        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter=counter)
     if not feasible:
-        # Channels can be weak enough that even the configured floor is out
-        # of reach.  The equal-power allocation is always admissible, so
-        # half the worst SINR it achieves is a guaranteed-feasible restart.
-        t_eq = float(np.min(compute_sinr(beta, alpha,
-                                         equal_power(*beta.shape), rho_d)))
-        if 0.0 < 0.5 * t_eq < lo:
-            lo = 0.5 * t_eq
-            feasible, eta, achieved = _margin_solve(sa, bs, lo, cfg.feas_tol,
-                                                    counter=counter)
-    if not feasible:
-        raise SolverError(f"lower bracket t_lo={lo} is infeasible")
+        eta_eq = equal_power(*beta.shape)
+        t_eq = float(np.min(compute_sinr(beta, alpha, eta_eq, rho_d)))
+        lo = 0.5 * t_eq
+        if lo <= 0.0:
+            raise SolverError("equal power gives a user SINR 0 (its channel "
+                              "estimate quality alpha underflows to 0), so "
+                              "no allocation has a positive worst-user SINR")
+        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter=counter)
+        if not feasible:
+            # Equal power itself witnesses t_eq.
+            eta, achieved = eta_eq, t_eq
     lo = min(max(lo, achieved), hi * (1.0 - 1e-12))
     sig_warm = np.sqrt(eta)
 
     iterations = 0
     sinr = None
-    while iterations < cfg.max_iter:
-        bracket_ok = (hi - lo) <= cfg.rel_tol * lo
+    while iterations < _MAX_BISECTION:
+        bracket_ok = (hi - lo) <= _REL_TOL * lo
         if bracket_ok:
             if sinr is None:
                 # Polish: fully centred solve at the incumbent target.
-                ok, eta_f, achieved = _margin_solve(sa, bs, lo, cfg.feas_tol,
+                ok, eta_f, achieved = _margin_solve(sa, bs, lo,
                                                     sig_init=sig_warm,
                                                     full_center=True,
                                                     counter=counter)
@@ -352,13 +341,13 @@ def solve_maxmin(beta: np.ndarray, rho_d: float, rho_u: float, tau_pilots: int,
                     sig_warm = np.sqrt(eta)
                 sinr = _sinr_scaled(sa, bs, sig_warm)
             spread = float(np.max(sinr) - np.min(sinr))
-            if spread <= cfg.spread_rel * float(np.min(sinr)):
+            if spread <= _SPREAD_REL * float(np.min(sinr)):
                 break
             if (hi - lo) <= 4.0 * np.finfo(float).eps * lo:
                 break
         mid = 0.5 * (lo + hi)
-        near_end = (hi - lo) <= 16.0 * cfg.rel_tol * lo
-        feasible, eta_mid, achieved = _margin_solve(sa, bs, mid, cfg.feas_tol,
+        near_end = (hi - lo) <= 16.0 * _REL_TOL * lo
+        feasible, eta_mid, achieved = _margin_solve(sa, bs, mid,
                                                     sig_init=sig_warm,
                                                     full_center=near_end,
                                                     counter=counter)
@@ -375,8 +364,8 @@ def solve_maxmin(beta: np.ndarray, rho_d: float, rho_u: float, tau_pilots: int,
     if sinr is None:
         sinr = _sinr_scaled(sa, bs, sig_warm)
     spread = float(np.max(sinr) - np.min(sinr))
-    converged = ((hi - lo) <= cfg.rel_tol * lo
-                 and spread <= cfg.spread_rel * float(np.min(sinr)))
+    converged = ((hi - lo) <= _REL_TOL * lo
+                 and spread <= _SPREAD_REL * float(np.min(sinr)))
     t_star = float(np.min(sinr))
     sinr_exact = compute_sinr(beta, alpha, eta, rho_d)
     return MaxMinSolution(t_star=t_star, eta=eta, sinr=sinr_exact,

@@ -34,7 +34,7 @@ from .data import (NormStats, Sample, compute_norm_stats, denormalize_output,
                    normalize_input)
 from .engine import backward, forward
 from .graph import build_graph
-from .model import GnnModel, LayerPlan, init_model, load_checkpoint, save_checkpoint
+from .model import GnnModel, init_model, load_checkpoint, save_checkpoint
 from .sinr import compute_alpha, sinr_kernel
 
 LN2 = math.log(2.0)
@@ -165,9 +165,8 @@ class _Bucket:
     sinr_opt: np.ndarray   # (n, K)
 
 
-def _make_buckets(samples: list[Sample], stats: NormStats,
-                  radio: RadioDefaults) -> list[_Bucket]:
-    rho_u = radio.rho_u()
+def _make_buckets(samples: list[Sample], stats: NormStats) -> list[_Bucket]:
+    rho_u = RadioDefaults.rho_u()
     order: list[tuple[int, int]] = []
     grouped: dict[tuple[int, int], list[Sample]] = {}
     for sample in samples:
@@ -216,8 +215,7 @@ def _validation_loss(model: GnnModel, buckets: list[_Bucket],
 
 
 def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
-          out_dir: str, radio: RadioDefaults | None = None,
-          plan: LayerPlan | None = None, resume_from: str | None = None
+          out_dir: str, resume_from: str | None = None
           ) -> tuple[GnnModel, list[dict]]:
     """Fixed-epoch training with per-epoch checkpoints and best-val tracking.
 
@@ -232,8 +230,7 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
         raise ValueError("empty training set")
     if not all(s.labeled for s in train_set + val_set):
         raise ValueError("training requires labeled samples")
-    radio = radio if radio is not None else RadioDefaults()
-    rho_d = radio.rho_d()
+    rho_d = RadioDefaults.rho_d()
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
 
@@ -250,24 +247,27 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
         best_val = math.inf if saved_best is None else float(saved_best)
     else:
         stats = compute_norm_stats(train_set)
-        model = init_model(plan, seed=cfg.seed, norm=stats)
+        model = init_model(seed=cfg.seed, norm=stats)
         opt = init_adam(model)
         start_epoch = 0
         best_val = math.inf
 
-    train_buckets = _make_buckets(train_set, stats, radio)
-    val_buckets = _make_buckets(val_set, stats, radio) if val_set else []
+    train_buckets = _make_buckets(train_set, stats)
+    val_buckets = _make_buckets(val_set, stats) if val_set else []
 
     history: list[dict] = []
     metrics_path = out / "metrics.csv"
-    write_header = not metrics_path.exists() or resume_from is None
-    metrics_fh = open(metrics_path, "w" if resume_from is None else "a",
-                      newline="", encoding="utf-8")
+    # A resumed run keeps the rows up to its start epoch and rewrites the rest.
+    kept = []
+    if resume_from is not None and metrics_path.exists():
+        with open(metrics_path, newline="", encoding="utf-8") as fh:
+            kept = [row for row in list(csv.reader(fh))[1:]
+                    if int(row[0]) <= start_epoch]
+    metrics_fh = open(metrics_path, "w", newline="", encoding="utf-8")
     writer = csv.writer(metrics_fh)
-    if write_header:
-        writer.writerow(["epoch", "train_loss", "val_loss", "wall_ms"])
-
     try:
+        writer.writerow(["epoch", "train_loss", "val_loss", "wall_ms"])
+        writer.writerows(kept)
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             t0 = time.perf_counter()
             rng = np.random.default_rng(
@@ -295,6 +295,10 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
                         if val_buckets else math.nan)
             wall_ms = (time.perf_counter() - t0) * 1e3
 
+            # The row goes first, so every epoch checkpoint has its row.
+            writer.writerow([epoch, repr(train_loss), repr(val_loss),
+                             f"{wall_ms:.1f}"])
+            metrics_fh.flush()
             improved = val_loss < best_val     # never true without a val set
             if improved:
                 best_val = val_loss
@@ -314,9 +318,6 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
             save_checkpoint(model, str(ckpt_path),
                             fingerprint=cfg.fingerprint(),
                             extra_arrays=extra_arrays, extra=extra)
-            writer.writerow([epoch, repr(train_loss), repr(val_loss),
-                             f"{wall_ms:.1f}"])
-            metrics_fh.flush()
             history.append({"epoch": epoch, "train_loss": train_loss,
                             "val_loss": val_loss, "wall_ms": wall_ms})
     finally:

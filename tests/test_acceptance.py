@@ -234,7 +234,7 @@ def test_criterion_7_flop_scaling_and_counts():
     ratios = {mk: counts[mk] / target for mk, target in ref.items()}
     within_2x = all(0.5 <= r <= 2.0 for r in ratios.values())
 
-    gnn, solver = flop_comparison(32, 9, seed=0)
+    gnn, solver = flop_comparison(32, 9)
     speedup = solver / gnn
     ok = r2 >= 0.99 and within_2x and speedup >= 5.0
     _verdict(7, ok,
@@ -254,21 +254,20 @@ def test_criterion_8_training_closes_most_of_the_gap(tmp_path):
     """
     started = time.perf_counter()
     samples = generate_unlabeled([(8, 3, "urban", 2200)], run_seed=815)
-    labeled = label_samples(samples, radio=RADIO)
+    labeled = label_samples(samples)
     assert len(labeled) == 2200, f"labeling dropped {2200 - len(labeled)} samples"
     train_pool, test_set = labeled[:2000], labeled[2000:]
 
     cfg = TrainConfig()
     assert cfg.epochs <= 100
     train_set, val_set = split_train_val(train_pool, cfg)
-    model, history = train(train_set, val_set, cfg, str(tmp_path / "run"),
-                           radio=RADIO)
+    model, history = train(train_set, val_set, cfg, str(tmp_path / "run"))
     best_model, _ = load_checkpoint(str(tmp_path / "run" / "best.json"))
 
     first5 = [h["train_loss"] for h in history[:5]]
     decreasing = all(b < a for a, b in zip(first5, first5[1:]))
 
-    report = evaluate(best_model, test_set, RADIO.rho_d(), RADIO.rho_u())
+    report = evaluate(best_model, test_set)
     med = {m: float(np.median(report.se_sorted[m]))
            for m in ("optimal", "gnn", "equal_power")}
     ratio = med["gnn"] / med["optimal"]

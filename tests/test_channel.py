@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfgnn.channel import (
+    MIN_DISTANCE_M,
     MORPHOLOGIES,
     Deployment,
     Morphology,
@@ -49,22 +50,24 @@ def test_path_loss_rejects_nonpositive_distance():
         path_loss_db(np.array([1.0, -2.0]), MORPHOLOGIES["urban"])
 
 
-def test_zero_shadow_zero_intercept_unit_distance_gives_beta_one():
+def test_zero_shadow_zero_intercept_unit_distance_clamps_to_five_metres():
+    """Free-space exponent 2, no intercept: beta = d**-2 with d clamped to 5 m."""
     morph = Morphology("flat", radius_m=10.0, pl_exponent=2.0,
                        pl_intercept_db=0.0, shadow_sigma_db=0.0)
-    cfg = make_scenario(1, 1, morph, min_distance_m=1.0)
+    cfg = make_scenario(1, 1, morph)
     dep = Deployment(ap_positions=np.array([[0.0, 0.0]]),
                      ue_positions=np.array([[1.0, 0.0]]))
     beta = generate_fading(dep, cfg, np.random.default_rng(0))
-    assert beta[0, 0] == pytest.approx(1.0)
+    assert MIN_DISTANCE_M == 5.0
+    assert beta[0, 0] == pytest.approx(5.0 ** -2)
 
 
 def test_beta_decreases_with_distance_without_shadowing():
     morph = Morphology("flat", radius_m=100.0, pl_exponent=3.0,
                        pl_intercept_db=20.0, shadow_sigma_db=0.0)
-    cfg = make_scenario(1, 4, morph, min_distance_m=1.0)
+    cfg = make_scenario(1, 4, morph)
     dep = Deployment(ap_positions=np.array([[0.0, 0.0]]),
-                     ue_positions=np.array([[2.0, 0.0], [5.0, 0.0],
+                     ue_positions=np.array([[5.0, 0.0], [10.0, 0.0],
                                             [20.0, 0.0], [90.0, 0.0]]))
     beta = generate_fading(dep, cfg, np.random.default_rng(0))[0]
     assert np.all(np.diff(beta) < 0)
@@ -108,7 +111,7 @@ def test_fading_deterministic_and_positive():
 def test_min_distance_clamps_path_loss():
     morph = Morphology("flat", radius_m=100.0, pl_exponent=3.0,
                        pl_intercept_db=20.0, shadow_sigma_db=0.0)
-    cfg = make_scenario(1, 1, morph, min_distance_m=5.0)
+    cfg = make_scenario(1, 1, morph)
     dep = Deployment(ap_positions=np.array([[0.0, 0.0]]),
                      ue_positions=np.array([[0.0, 0.0]]))
     beta = generate_fading(dep, cfg, np.random.default_rng(0))
@@ -127,6 +130,8 @@ def test_radio_defaults_noise_and_power_ratios():
 def test_make_scenario_defaults_and_validation():
     cfg = make_scenario(8, 3, "urban")
     assert cfg.tau == 3
+    assert (cfg.rho_d, cfg.rho_u) == (RadioDefaults.rho_d(),
+                                      RadioDefaults.rho_u())
     assert cfg.morphology.name == "urban"
     with pytest.raises(ValueError):
         make_scenario(8, 3, "desert")

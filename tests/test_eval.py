@@ -17,7 +17,7 @@ from cfgnn.eval import (
 from cfgnn.sinr import spectral_efficiency
 
 
-def test_evaluate_self_comparison_is_zero_loss(labeled_4x2, radio):
+def test_evaluate_self_comparison_is_zero_loss(labeled_4x2):
     """A perfect predictor has zero loss at every percentile by definition;
     checked here through the raw percentile math on the pooled optimal SEs."""
     se = np.sort(np.concatenate(
@@ -29,9 +29,8 @@ def test_evaluate_self_comparison_is_zero_loss(labeled_4x2, radio):
                np.percentile(report.se_sorted["gnn"], q)
 
 
-def test_evaluate_real_model(tiny_run, labeled_4x2, radio):
-    report = evaluate(tiny_run["model"], labeled_4x2, radio.rho_d(),
-                      radio.rho_u())
+def test_evaluate_real_model(tiny_run, labeled_4x2):
+    report = evaluate(tiny_run["model"], labeled_4x2)
     assert report.scenario == scenario_tag(4, 2, "urban")
     n = len(labeled_4x2) * 2
     for method in METHODS:
@@ -44,41 +43,39 @@ def test_evaluate_real_model(tiny_run, labeled_4x2, radio):
     assert report.likely95_loss >= -1e-9
 
 
-def test_equal_power_loses_to_optimal(labeled_8x3, tiny_run, radio):
+def test_equal_power_loses_to_optimal(labeled_8x3, tiny_run):
     """At tiny sizes the pooled median can favor equal power (the max-min
     objective protects the worst user, not the median), so this baseline
     comparison is pinned at the 8-AP scale."""
-    report = evaluate(tiny_run["model"], labeled_8x3, radio.rho_d(),
-                      radio.rho_u())
+    report = evaluate(tiny_run["model"], labeled_8x3)
     opt_med = np.median(report.se_sorted["optimal"])
     eq_med = np.median(report.se_sorted["equal_power"])
     assert eq_med < opt_med
 
 
-def test_evaluate_rejects_empty_and_unlabeled(tiny_run, radio, labeled_4x2):
+def test_evaluate_rejects_empty_and_unlabeled(tiny_run, labeled_4x2):
     with pytest.raises(ValueError):
-        evaluate(tiny_run["model"], [], radio.rho_d(), radio.rho_u())
+        evaluate(tiny_run["model"], [])
     from cfgnn.data import Sample
     stripped = [Sample(num_aps=s.num_aps, num_ues=s.num_ues,
                        morphology=s.morphology, seed=s.seed, beta=s.beta)
                 for s in labeled_4x2[:2]]
     with pytest.raises(ValueError):
-        evaluate(tiny_run["model"], stripped, radio.rho_d(), radio.rho_u())
+        evaluate(tiny_run["model"], stripped)
 
 
-def test_cdf_pooling_is_permutation_invariant(tiny_run, labeled_4x2, radio):
+def test_cdf_pooling_is_permutation_invariant(tiny_run, labeled_4x2):
     shuffled = list(labeled_4x2)
     np.random.default_rng(0).shuffle(shuffled)
-    a = evaluate(tiny_run["model"], labeled_4x2, radio.rho_d(), radio.rho_u())
-    b = evaluate(tiny_run["model"], shuffled, radio.rho_d(), radio.rho_u())
+    a = evaluate(tiny_run["model"], labeled_4x2)
+    b = evaluate(tiny_run["model"], shuffled)
     for method in METHODS:
         np.testing.assert_array_equal(a.se_sorted[method], b.se_sorted[method])
     assert a.loss_at_median == b.loss_at_median
 
 
-def test_cdf_csv_format(tmp_path, tiny_run, labeled_4x2, radio):
-    report = evaluate(tiny_run["model"], labeled_4x2[:1], radio.rho_d(),
-                      radio.rho_u())
+def test_cdf_csv_format(tmp_path, tiny_run, labeled_4x2):
+    report = evaluate(tiny_run["model"], labeled_4x2[:1])
     path = tmp_path / "cdf.csv"
     export_cdf_csv(report, str(path))
     with open(path, newline="") as fh:

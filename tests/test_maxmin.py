@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from cfgnn.channel import make_scenario, generate_sample_fading
+from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
+from cfgnn.data import generate_unlabeled
 from cfgnn.flops import FlopCounter
 from cfgnn.maxmin import (
-    BisectionConfig,
     SolverError,
     brute_force_maxmin,
     equal_power,
@@ -139,11 +139,36 @@ def test_equal_power_baseline():
     assert baseline <= sol.t_star * (1 + 1e-9)
 
 
-def test_empty_bracket_raises():
-    cfg, beta = _instance(2, 2, 1)
-    with pytest.raises(SolverError):
-        solve_maxmin(beta, cfg.rho_d, cfg.rho_u, 2,
-                     BisectionConfig(t_lo=10.0, t_hi=1.0))
+def test_weak_rural_channels_solve_below_the_bisection_floor():
+    """Rural draws whose upper bound lies below the 1e-6 floor still solve:
+    1x1 against the closed form, 2x2 against the grid oracle."""
+    rd, ru = RadioDefaults.rho_d(), RadioDefaults.rho_u()
+    ones = generate_unlabeled([(1, 1, "rural", 3)], run_seed=5)
+    twos = generate_unlabeled([(2, 2, "rural", 12)], run_seed=5)
+    for sample in (ones[0], ones[2], twos[0], twos[11]):
+        beta, k = sample.beta, sample.num_ues
+        alpha = compute_alpha(beta, ru, k)
+        assert upper_bound_sinr(beta, alpha, rd) < 1e-6
+        sol = solve_maxmin(beta, rd, ru, k)
+        assert sol.converged
+        assert is_feasible(sol.eta, tol=1e-6)
+        if k == 1:
+            expected = rd * alpha[0, 0] / (1.0 + rd * beta[0, 0])
+            assert sol.t_star == pytest.approx(expected, rel=1e-4)
+            continue
+        oracle = brute_force_maxmin(beta, rd, ru, k, grid_step=0.02)
+        assert oracle.t_star <= sol.t_star * (1 + 2e-4)
+        eta_snap = np.floor(sol.eta / 0.02) * 0.02
+        assert oracle.t_star >= compute_sinr(beta, alpha, eta_snap, rd).min()
+
+
+def test_underflowing_channel_raises():
+    """beta = 1e-170 makes alpha underflow to 0: no positive SINR exists."""
+    rd, ru = RadioDefaults.rho_d(), RadioDefaults.rho_u()
+    beta = np.full((2, 2), 1e-170)
+    assert np.all(compute_alpha(beta, ru, 2) == 0.0)
+    with pytest.raises(SolverError, match="SINR 0"):
+        solve_maxmin(beta, rd, ru, 2)
 
 
 def test_solver_counts_flops_when_instrumented():

@@ -193,6 +193,30 @@ def test_resume_continues_bit_identically(labeled_4x2, tmp_path, monkeypatch):
     for name in ("best.json", "checkpoints/epoch_006.json"):
         assert digest(tmp_path / "straight6" / name) == \
             digest(tmp_path / "killed" / name), name
+    # The killed run wrote row 3 before its epoch-3 checkpoint.
+    assert _metrics_rows(tmp_path / "straight6") == \
+        _metrics_rows(tmp_path / "killed")
+
+
+def _metrics_rows(run_dir):
+    """metrics.csv without the wall_ms column, which varies run to run."""
+    lines = (Path(run_dir) / "metrics.csv").read_text().splitlines()
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def test_resume_of_finished_run_rewrites_later_metrics_rows(labeled_4x2,
+                                                            tmp_path):
+    cfg = TrainConfig(epochs=5, batch_size=8, seed=2)
+    tr, va = split_train_val(labeled_4x2[:12], cfg)
+    run = tmp_path / "run"
+    train(tr, va, cfg, str(run))
+    finished = _metrics_rows(run)
+    train(tr, va, cfg, str(run),
+          resume_from=str(run / "checkpoints/epoch_003.json"))
+    rows = _metrics_rows(run)
+    assert [row.split(",")[0] for row in rows] == \
+        ["epoch", "1", "2", "3", "4", "5"]
+    assert rows == finished
 
 
 def test_rerun_reproduces_checkpoints_bytewise(labeled_4x2, tmp_path):
