@@ -62,7 +62,11 @@ MORPHOLOGIES: dict[str, Morphology] = {
 
 
 class RadioDefaults:
-    """Link-budget constants used to derive the normalised powers."""
+    """Link-budget constants used to derive the normalised powers.
+
+    This is the one link budget of the package; every K-user scenario uses
+    tau = K orthogonal pilots, one per user.
+    """
 
     TX_POWER_DL_MW = 200.0
     TX_POWER_UL_MW = 100.0
@@ -89,11 +93,7 @@ class RadioDefaults:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to generate one fading realisation deterministically.
-
-    The powers come from RadioDefaults, and tau = num_ues (orthogonal
-    pilots, one per user).
-    """
+    """Everything needed to generate one fading realisation deterministically."""
 
     num_aps: int
     num_ues: int
@@ -104,18 +104,6 @@ class ScenarioConfig:
             raise ValueError(f"num_aps must be >= 1, got {self.num_aps}")
         if self.num_ues < 1:
             raise ValueError(f"num_ues must be >= 1, got {self.num_ues}")
-
-    @property
-    def rho_d(self) -> float:
-        return RadioDefaults.rho_d()
-
-    @property
-    def rho_u(self) -> float:
-        return RadioDefaults.rho_u()
-
-    @property
-    def tau(self) -> int:
-        return self.num_ues
 
 
 def make_scenario(num_aps: int, num_ues: int,

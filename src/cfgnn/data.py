@@ -132,7 +132,12 @@ def write_jsonl(samples: list[Sample], path: str) -> None:
 
 
 def read_jsonl(path: str) -> list[Sample]:
-    """Read a dataset; a malformed record raises ValueError naming path:line."""
+    """Read a dataset; a malformed record raises ValueError naming path:line.
+
+    Labeled rows must also pass Sample.validate under the RadioDefaults
+    powers with tau = K pilots.
+    """
+    rho_d, rho_u = RadioDefaults.rho_d(), RadioDefaults.rho_u()
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -140,9 +145,11 @@ def read_jsonl(path: str) -> list[Sample]:
             if not line:
                 continue
             try:
-                samples.append(sample_from_json(line))
+                sample = sample_from_json(line)
+                sample.validate(rho_d, rho_u, sample.num_ues)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            samples.append(sample)
     return samples
 
 
@@ -174,10 +181,9 @@ def generate_unlabeled(scenarios: list[tuple[int, int, str, int]],
     return samples
 
 
-def _label_one(args: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-    beta, rho_d, rho_u, tau = args
+def _label_one(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     try:
-        sol = solve_maxmin(beta, rho_d, rho_u, tau)
+        sol = solve_maxmin(beta)
     except SolverError:
         return None
     if not sol.converged:
@@ -188,12 +194,10 @@ def _label_one(args: tuple) -> tuple[np.ndarray, np.ndarray] | None:
 def label_samples(samples: list[Sample], threads: int = 1) -> list[Sample]:
     """Attach optimal (eta, sinr) labels; failed solves are dropped and logged.
 
-    Each sample uses tau = K orthogonal pilots.  Results are deterministic for
-    any thread count because each solve is pure and outputs are collected in
-    input order.
+    Results are deterministic for any thread count because each solve is
+    pure and outputs are collected in input order.
     """
-    rho_d, rho_u = RadioDefaults.rho_d(), RadioDefaults.rho_u()
-    jobs = [(s.beta, rho_d, rho_u, s.num_ues) for s in samples]
+    jobs = [s.beta for s in samples]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_label_one, jobs, chunksize=8))

@@ -270,12 +270,15 @@ def project_powers(raw: np.ndarray, norm: NormStats,
     eta = 2^(raw * std + mean), which is non-negative for finite raw, then
     any AP row whose sum exceeds 1 is divided by its sum, repeating until
     every row budget holds exactly (a second pass only fires on last-ulp
-    rounding leftovers).
+    rounding leftovers).  Raw outputs that are not finite, or whose powers
+    overflow to infinity, raise ValueError.
     """
     raw = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw outputs must be finite")
     eta = denormalize_output(raw, norm)
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("raw outputs overflow to infinite powers")
     if counter is not None:
         counter.mul(raw.size)   # scale by std
         counter.add(raw.size)   # shift by mean

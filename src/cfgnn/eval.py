@@ -18,7 +18,7 @@ from .data import Sample, normalize_input
 from .engine import count_flops, forward, project_powers
 from .flops import FlopCounter
 from .graph import build_graph
-from .maxmin import solve_maxmin
+from .maxmin import equal_power, solve_maxmin
 from .model import GnnModel
 from .sinr import compute_alpha, compute_sinr, spectral_efficiency
 
@@ -78,7 +78,7 @@ def evaluate(model: GnnModel, eval_set: list[Sample]) -> EvalReport:
         graph = build_graph(m, k)
         x = normalize_input(sample.beta, model.norm)
         eta_gnn = project_powers(forward(graph, x, model), model.norm)
-        eta_eq = np.full((m, k), 1.0 / k)
+        eta_eq = equal_power(m, k)
         se["optimal"].extend(
             spectral_efficiency(np.asarray(sample.sinr_opt)).tolist())
         se["gnn"].extend(spectral_efficiency(
@@ -113,7 +113,7 @@ def flop_comparison(num_aps: int, num_ues: int, model: GnnModel | None = None,
     cfg = make_scenario(num_aps, num_ues, morphology)
     beta = generate_sample_fading(cfg, 0)
     counter = FlopCounter()
-    solve_maxmin(beta, cfg.rho_d, cfg.rho_u, cfg.tau, counter=counter)
+    solve_maxmin(beta, counter=counter)
     return gnn, counter.total
 
 

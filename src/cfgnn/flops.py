@@ -56,10 +56,6 @@ class FlopCounter:
         self.multiplies += third + rhs * n * n
         self.adds += third + rhs * n * n
 
-    def reset(self) -> None:
-        self.multiplies = 0
-        self.adds = 0
-
 
 def gnn_forward_flops(plan, num_aps: int, num_ues: int) -> FlopCounter:
     """Closed-form FLOPs of one forward pass plus projection.

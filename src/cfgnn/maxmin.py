@@ -7,9 +7,10 @@ sigma = sqrt(eta), the constraint SINR_k >= t becomes a second-order cone:
     sum_m sqrt(alpha'[m,k]) * sigma[m,k]
         >= sqrt(t) * || (1, {sqrt(beta'[m,k]) * sigma[m,j]}_{m,j}) ||_2
 
-with alpha' = rho_d * alpha and beta' = rho_d * beta, and each per-AP budget
-is the ball ||sigma[m, :]|| <= 1.  Feasibility of a target t is therefore a
-convex question, and the optimum is found by bisection on t.
+with alpha' = rho_d * alpha and beta' = rho_d * beta (the RadioDefaults
+powers, tau = K orthogonal pilots), and each per-AP budget is the ball
+||sigma[m, :]|| <= 1.  Feasibility of a target t is therefore a convex
+question, and the optimum is found by bisection on t.
 
 Each feasibility test solves a margin maximisation
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import RadioDefaults
 from .flops import FlopCounter
 from .sinr import compute_alpha, compute_sinr
 
@@ -67,23 +69,30 @@ class SolverError(RuntimeError):
     """Raised when no allocation gives every user a positive SINR."""
 
 
-def _state(sa: np.ndarray, bs: np.ndarray, sqrt_t: float, sig: np.ndarray,
-           s: float) -> tuple:
-    """Row norms, cone slacks and barrier residuals at (sigma, s)."""
+def _link(beta: np.ndarray) -> tuple[np.ndarray, float]:
+    """(alpha, rho_d) of the one link budget the solver and the oracle use:
+    the RadioDefaults powers and tau = K orthogonal pilots."""
+    return (compute_alpha(beta, RadioDefaults.rho_u(), beta.shape[-1]),
+            RadioDefaults.rho_d())
+
+
+def _state(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray, s: float) -> tuple:
+    """Row norms, cone slacks and barrier residuals at (sigma, s), with the
+    gains already divided by sqrt(t)."""
     r = np.einsum("mk,mk->m", sig, sig)
     ball = 1.0 - r
     q2 = 1.0 + bs.T @ r
     q = np.sqrt(q2)
     n_lin = np.einsum("mk,mk->k", sa, sig)
-    g = n_lin - sqrt_t * q
+    g = n_lin - q
     margins = g - s
     return r, ball, q, g, margins
 
 
-def _phi(tau: float, s: float, margins: np.ndarray, ball: np.ndarray) -> float:
+def _phi(weight: float, s: float, margins: np.ndarray, ball: np.ndarray) -> float:
     if np.any(margins <= 0.0) or np.any(ball <= 0.0):
         return math.inf
-    return -tau * s - float(np.log(margins).sum()) - float(np.log(ball).sum())
+    return -weight * s - float(np.log(margins).sum()) - float(np.log(ball).sum())
 
 
 def _count_state(counter: FlopCounter, m: int, k: int) -> None:
@@ -92,11 +101,10 @@ def _count_state(counter: FlopCounter, m: int, k: int) -> None:
     counter.add(k)
     counter.mul(k)               # sqrt
     counter.dot(m, k)            # n_lin
-    counter.mul(k)               # sqrt_t * q
     counter.add(3 * k + m)       # g, margins, ball
 
 
-def _newton_direction(tau: float, sa: np.ndarray, bs: np.ndarray, sqrt_t: float,
+def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
                       sig: np.ndarray, s: float, state: tuple,
                       counter: FlopCounter | None) -> tuple[np.ndarray, float, np.ndarray, float]:
     """One Newton system for the barrier subproblem.  Returns
@@ -107,11 +115,11 @@ def _newton_direction(tau: float, sa: np.ndarray, bs: np.ndarray, sqrt_t: float,
 
     u = 1.0 / margins
     b_inv = 1.0 / ball
-    w = bs @ (u * sqrt_t / q)
+    w = bs @ (u / q)
     row_scale = w + 2.0 * b_inv
 
     grad_sig = -sa * u[None, :] + row_scale[:, None] * sig
-    grad_s = -tau + float(u.sum())
+    grad_s = -weight + float(u.sum())
     grad = np.concatenate([grad_sig.ravel(), [grad_s]])
 
     # Rank-one pieces.  p_t[k] = bs[:, k, None] * sig is the gradient of the
@@ -119,9 +127,9 @@ def _newton_direction(tau: float, sa: np.ndarray, bs: np.ndarray, sqrt_t: float,
     p_t = bs.T[:, :, None] * sig[None, :, :]
     e_t = np.zeros((k_ue, m_ap, k_ue))
     e_t[np.arange(k_ue), :, np.arange(k_ue)] = sa.T
-    v = u[:, None, None] * (e_t - (sqrt_t / q)[:, None, None] * p_t)
+    v = u[:, None, None] * (e_t - (1.0 / q)[:, None, None] * p_t)
     v_full = np.concatenate([v.reshape(k_ue, n), -u[:, None]], axis=1)
-    p_coef = np.sqrt(u * sqrt_t / (q * q * q))
+    p_coef = np.sqrt(u / (q * q * q))
     p_full = (p_coef[:, None, None] * p_t).reshape(k_ue, n)
 
     h = np.zeros((n + 1, n + 1))
@@ -163,14 +171,14 @@ def _newton_direction(tau: float, sa: np.ndarray, bs: np.ndarray, sqrt_t: float,
     return delta[:n].reshape(m_ap, k_ue), float(delta[n]), grad, -math.sqrt(gn)
 
 
-def _center(tau: float, sa: np.ndarray, bs: np.ndarray, sqrt_t: float,
-            sig: np.ndarray, s: float,
-            counter: FlopCounter | None) -> tuple[np.ndarray, float, tuple]:
-    """Newton iterations minimising the barrier at fixed tau."""
-    state = _state(sa, bs, sqrt_t, sig, s)
-    phi = _phi(tau, s, state[4], state[1])
+def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
+            s: float, counter: FlopCounter | None
+            ) -> tuple[np.ndarray, float, tuple]:
+    """Newton iterations minimising the barrier at a fixed objective weight."""
+    state = _state(sa, bs, sig, s)
+    phi = _phi(weight, s, state[4], state[1])
     for _ in range(_NEWTON_MAX_STEPS):
-        dsig, ds, grad, slope = _newton_direction(tau, sa, bs, sqrt_t, sig, s,
+        dsig, ds, grad, slope = _newton_direction(weight, sa, bs, sig, s,
                                                   state, counter)
         dec2 = -slope
         if dec2 / 2.0 <= _NEWTON_DEC2_TOL:
@@ -180,10 +188,10 @@ def _center(tau: float, sa: np.ndarray, bs: np.ndarray, sqrt_t: float,
         for _ in range(60):
             sig_n = sig + step * dsig
             s_n = s + step * ds
-            state_n = _state(sa, bs, sqrt_t, sig_n, s_n)
+            state_n = _state(sa, bs, sig_n, s_n)
             if counter is not None:
                 _count_state(counter, *sig.shape)
-            phi_n = _phi(tau, s_n, state_n[4], state_n[1])
+            phi_n = _phi(weight, s_n, state_n[4], state_n[1])
             if phi_n <= phi + 0.01 * step * slope:
                 sig, s, state, phi = sig_n, s_n, state_n, phi_n
                 accepted = True
@@ -219,17 +227,17 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
         hot = r > 0.98
         if np.any(hot):
             sig[hot] *= np.sqrt(0.98 / r[hot])[:, None]
-    state = _state(sa_t, bs, 1.0, sig, 0.0)
+    state = _state(sa_t, bs, sig, 0.0)
     g0 = state[3]
     scale0 = max(1.0, float(np.max(np.abs(g0))))
     s = float(np.min(g0)) - 0.05 * scale0
 
-    tau = n_constr / (0.25 * scale0)
+    weight = n_constr / (0.25 * scale0)
     gap_floor = 1e-12 * scale0
     best: tuple[bool, np.ndarray | None, float] | None = None
     while True:
-        sig, s, state = _center(tau, sa_t, bs, 1.0, sig, s, counter)
-        gap = n_constr / tau
+        sig, s, state = _center(weight, sa_t, bs, sig, s, counter)
+        gap = n_constr / weight
         if s > 0.0:
             achieved = _achieved_min_sinr(sa, bs, sig)
             if achieved >= t * (1.0 - _FEAS_TOL):
@@ -245,7 +253,7 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
             if achieved >= t * (1.0 - _FEAS_TOL):
                 return True, sig * sig, achieved
             return False, None, s
-        tau *= _LOG_BARRIER_MU
+        weight *= _LOG_BARRIER_MU
 
 
 def _achieved_min_sinr(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> float:
@@ -261,8 +269,9 @@ def _sinr_scaled(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return num * num / den
 
 
-def upper_bound_sinr(beta: np.ndarray, alpha: np.ndarray, rho_d: float) -> float:
+def upper_bound_sinr(beta: np.ndarray) -> float:
     """max_k rho_d * (sum_m sqrt(alpha[m, k]))**2, an unreachable target."""
+    alpha, rho_d = _link(np.asarray(beta, dtype=float))
     return float(np.max(rho_d * np.sqrt(alpha).sum(axis=0) ** 2))
 
 
@@ -271,8 +280,7 @@ def equal_power(num_aps: int, num_ues: int) -> np.ndarray:
     return np.full((num_aps, num_ues), 1.0 / num_ues)
 
 
-def feasibility_check(beta: np.ndarray, alpha: np.ndarray, rho_d: float,
-                      t: float) -> np.ndarray | None:
+def feasibility_check(beta: np.ndarray, t: float) -> np.ndarray | None:
     """Allocation meeting SINR target t for every user, or None if infeasible.
 
     The decision is rigorous in both directions: a returned eta is rechecked
@@ -281,14 +289,14 @@ def feasibility_check(beta: np.ndarray, alpha: np.ndarray, rho_d: float,
     """
     if t <= 0:
         raise ValueError("target t must be positive")
-    sa = np.sqrt(rho_d * np.asarray(alpha, dtype=float))
-    bs = rho_d * np.asarray(beta, dtype=float)
-    feasible, eta, _ = _margin_solve(sa, bs, t)
+    beta = np.asarray(beta, dtype=float)
+    alpha, rho_d = _link(beta)
+    feasible, eta, _ = _margin_solve(np.sqrt(rho_d * alpha), rho_d * beta, t)
     return eta if feasible else None
 
 
-def solve_maxmin(beta: np.ndarray, rho_d: float, rho_u: float, tau_pilots: int,
-                 counter: FlopCounter | None = None) -> MaxMinSolution:
+def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
+                 ) -> MaxMinSolution:
     """Maximise the worst-user SINR subject to per-AP power budgets.
 
     The bracket starts at [_T_FLOOR, upper_bound_sinr].  When the floor is
@@ -301,11 +309,11 @@ def solve_maxmin(beta: np.ndarray, rho_d: float, rho_u: float, tau_pilots: int,
     to within _SPREAD_REL relative spread.
     """
     beta = np.asarray(beta, dtype=float)
-    alpha = compute_alpha(beta, rho_u, tau_pilots)
+    alpha, rho_d = _link(beta)
     sa = np.sqrt(rho_d * alpha)
     bs = rho_d * beta
 
-    hi = upper_bound_sinr(beta, alpha, rho_d)
+    hi = upper_bound_sinr(beta)
     lo = _T_FLOOR
     feasible = False
     if lo < hi:
@@ -406,9 +414,9 @@ def _simplex_grid(k: int, g: int, lo: np.ndarray | None = None,
     return rec(0, g)
 
 
-def _grid_search(beta: np.ndarray, alpha: np.ndarray, rho_d: float,
-                 row_cands: list[np.ndarray], step: float, top: int = 1,
-                 chunk: int = 1 << 19) -> list[tuple[float, list[int]]]:
+def _grid_search(beta: np.ndarray, row_cands: list[np.ndarray], step: float,
+                 top: int = 1, chunk: int = 1 << 19
+                 ) -> list[tuple[float, list[int]]]:
     """Maximise min-SINR over the cartesian product of per-row candidate grids.
 
     Rows are merged into two groups whose partial sums are materialised, then
@@ -416,6 +424,7 @@ def _grid_search(beta: np.ndarray, alpha: np.ndarray, rho_d: float,
     (value, per-row candidate indices) pairs in descending order.
     """
     m_ap, k_ue = beta.shape
+    alpha, rho_d = _link(beta)
     counts = [c.shape[0] for c in row_cands]
 
     def merge(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -478,8 +487,7 @@ def _grid_search(beta: np.ndarray, alpha: np.ndarray, rho_d: float,
     return results
 
 
-def brute_force_maxmin(beta: np.ndarray, rho_d: float, rho_u: float,
-                       tau_pilots: int, grid_step: float = 0.01,
+def brute_force_maxmin(beta: np.ndarray, grid_step: float = 0.01,
                        budget: int = 40_000_000,
                        refine_top: int = 8) -> MaxMinSolution:
     """Exhaustive grid-search oracle for small instances (M * K <= 6).
@@ -497,7 +505,7 @@ def brute_force_maxmin(beta: np.ndarray, rho_d: float, rho_u: float,
     m_ap, k_ue = beta.shape
     if m_ap * k_ue > 6:
         raise ValueError("brute force oracle is limited to M * K <= 6")
-    alpha = compute_alpha(beta, rho_u, tau_pilots)
+    alpha, rho_d = _link(beta)
     g = round(1.0 / grid_step)
     if abs(g * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step {grid_step} must divide 1 exactly")
@@ -506,7 +514,7 @@ def brute_force_maxmin(beta: np.ndarray, rho_d: float, rho_u: float,
     total = fine.shape[0] ** m_ap
     if total <= budget:
         cands = [fine] * m_ap
-        (val, idx), = _grid_search(beta, alpha, rho_d, cands, grid_step, top=1)
+        (val, idx), = _grid_search(beta, cands, grid_step, top=1)
         eta = np.stack([cands[m][idx[m]] * grid_step for m in range(m_ap)])
         sinr = compute_sinr(beta, alpha, eta, rho_d)
         return MaxMinSolution(t_star=val, eta=eta, sinr=sinr,
@@ -521,8 +529,7 @@ def brute_force_maxmin(beta: np.ndarray, rho_d: float, rho_u: float,
     window = g // gc
     coarse = _simplex_grid(k_ue, gc)
     cands_c = [coarse] * m_ap
-    leaders = _grid_search(beta, alpha, rho_d, cands_c, 1.0 / gc,
-                           top=refine_top)
+    leaders = _grid_search(beta, cands_c, 1.0 / gc, top=refine_top)
 
     best_val = leaders[0][0]
     best_eta = np.stack([coarse[leaders[0][1][m]] / gc for m in range(m_ap)])
@@ -534,8 +541,7 @@ def brute_force_maxmin(beta: np.ndarray, rho_d: float, rho_u: float,
             cands_f.append(_simplex_grid(k_ue, g, lo=centre - window,
                                          hi=centre + window))
         evals += int(np.prod([c.shape[0] for c in cands_f], dtype=np.int64))
-        (val, idx), = _grid_search(beta, alpha, rho_d, cands_f, grid_step,
-                                   top=1)
+        (val, idx), = _grid_search(beta, cands_f, grid_step, top=1)
         if val > best_val:
             best_val = val
             best_eta = np.stack([cands_f[m][idx[m]] * grid_step

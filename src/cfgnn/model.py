@@ -66,9 +66,6 @@ class GnnModel:
     params: dict[str, np.ndarray]
     norm: NormStats = field(default_factory=lambda: NormStats(0.0, 1.0, 0.0, 1.0))
 
-    def num_params(self) -> int:
-        return sum(arr.size for arr in self.params.values())
-
 
 def param_shapes(plan: LayerPlan) -> dict[str, tuple[int, ...]]:
     """Canonical parameter order and shapes for a plan."""

@@ -74,15 +74,16 @@ def sinr_mse_loss(sinr_opt: np.ndarray, sinr_pred: np.ndarray) -> float:
 
 
 def loss_and_grads(model: GnnModel, batch_x: np.ndarray, batch_beta: np.ndarray,
-                   batch_alpha: np.ndarray, batch_sinr_opt: np.ndarray,
-                   rho_d: float
+                   batch_alpha: np.ndarray, batch_sinr_opt: np.ndarray
                    ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Loss, parameter gradients and predicted SINRs for one batch.
+    """Loss, parameter gradients and predicted SINRs for one batch, under
+    the RadioDefaults downlink power.
 
     batch_x: normalized inputs (S, M, K); batch_beta/alpha: (S, M, K);
     batch_sinr_opt: (S, K).
     """
     s, m, k = batch_x.shape
+    rho_d = RadioDefaults.rho_d()
     graph = build_graph(m, k)
     y, tape = forward(graph, batch_x, model, want_tape=True)
     eta = denormalize_output(y, model.norm)
@@ -200,8 +201,8 @@ def _epoch_batches(buckets: list[_Bucket], batch_size: int,
     return [batches[i] for i in order]
 
 
-def _validation_loss(model: GnnModel, buckets: list[_Bucket],
-                     rho_d: float) -> float:
+def _validation_loss(model: GnnModel, buckets: list[_Bucket]) -> float:
+    rho_d = RadioDefaults.rho_d()
     total, count = 0.0, 0
     for bucket in buckets:
         graph = build_graph(bucket.num_aps, bucket.num_ues)
@@ -230,7 +231,6 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
         raise ValueError("empty training set")
     if not all(s.labeled for s in train_set + val_set):
         raise ValueError("training requires labeled samples")
-    rho_d = RadioDefaults.rho_d()
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
 
@@ -277,7 +277,7 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
                 bucket = train_buckets[b]
                 loss, grads, _ = loss_and_grads(
                     model, bucket.x[idx], bucket.beta[idx], bucket.alpha[idx],
-                    bucket.sinr_opt[idx], rho_d)
+                    bucket.sinr_opt[idx])
                 if not math.isfinite(loss):
                     dump = out / "diagnostic_dump.json"
                     save_checkpoint(model, str(dump),
@@ -291,7 +291,7 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
                 loss_sum += loss * len(idx)
                 n_seen += len(idx)
             train_loss = loss_sum / max(n_seen, 1)
-            val_loss = (_validation_loss(model, val_buckets, rho_d)
+            val_loss = (_validation_loss(model, val_buckets)
                         if val_buckets else math.nan)
             wall_ms = (time.perf_counter() - t0) * 1e3
 

@@ -43,8 +43,8 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _instance(num_aps: int, num_ues: int, seed: int, morphology: str = "urban"):
-    cfg = make_scenario(num_aps, num_ues, morphology)
-    return cfg, generate_sample_fading(cfg, seed, 0)
+    return generate_sample_fading(make_scenario(num_aps, num_ues, morphology),
+                                  seed, 0)
 
 
 def test_criterion_1_solver_matches_grid_oracle():
@@ -60,13 +60,13 @@ def test_criterion_1_solver_matches_grid_oracle():
     cases = [(2, 2, 400 + i) for i in range(20)] + \
             [(3, 2, 500 + i) for i in range(10)]
     for num_aps, num_ues, seed in cases:
-        cfg, beta = _instance(num_aps, num_ues, seed)
-        sol = solve_maxmin(beta, cfg.rho_d, cfg.rho_u, num_ues)
-        oracle = brute_force_maxmin(beta, cfg.rho_d, cfg.rho_u, num_ues,
-                                    grid_step=step)
-        alpha = compute_alpha(beta, cfg.rho_u, num_ues)
+        beta = _instance(num_aps, num_ues, seed)
+        sol = solve_maxmin(beta)
+        oracle = brute_force_maxmin(beta, grid_step=step)
+        alpha = compute_alpha(beta, RADIO.rho_u(), num_ues)
         eta_snap = np.floor(sol.eta / step) * step
-        floor_val = float(compute_sinr(beta, alpha, eta_snap, cfg.rho_d).min())
+        floor_val = float(compute_sinr(beta, alpha, eta_snap,
+                                       RADIO.rho_d()).min())
         assert oracle.t_star <= sol.t_star * (1 + 2e-4), (num_aps, num_ues, seed)
         assert oracle.t_star >= floor_val * (1 - 1e-9), (num_aps, num_ues, seed)
         assert is_feasible(sol.eta, tol=1e-6)
@@ -86,12 +86,12 @@ def test_criterion_2_solution_equalizes_sinrs():
     for i in range(50):
         num_aps = int(rng.integers(2, 17))
         num_ues = int(rng.integers(2, 7))
-        cfg, beta = _instance(num_aps, num_ues, 300 + i,
-                              morphs[int(rng.integers(0, 3))])
-        sol = solve_maxmin(beta, cfg.rho_d, cfg.rho_u, num_ues)
+        beta = _instance(num_aps, num_ues, 300 + i,
+                         morphs[int(rng.integers(0, 3))])
+        sol = solve_maxmin(beta)
         assert sol.converged, (num_aps, num_ues, i)
-        alpha = compute_alpha(beta, cfg.rho_u, num_ues)
-        sinr = compute_sinr(beta, alpha, sol.eta, cfg.rho_d)
+        alpha = compute_alpha(beta, RADIO.rho_u(), num_ues)
+        sinr = compute_sinr(beta, alpha, sol.eta, RADIO.rho_d())
         worst = max(worst, float(sinr.max() - sinr.min()) / sol.t_star)
     _verdict(2, worst <= 1e-3,
              f"worst SINR spread {worst:.2e} of t_star over 50 instances "
@@ -143,12 +143,10 @@ def test_criterion_4_gradients_match_finite_differences():
     model = init_model(seed=21, norm=stats)
 
     def loss_value() -> float:
-        loss, _, _ = loss_and_grads(model, x, betas, alphas, sinr_opt,
-                                    RADIO.rho_d())
+        loss, _, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
         return loss
 
-    _, grads, _ = loss_and_grads(model, x, betas, alphas, sinr_opt,
-                                 RADIO.rho_d())
+    _, grads, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
     pick = np.random.default_rng(6)
     fd_step = 1e-5
     checked = 0

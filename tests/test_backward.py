@@ -77,12 +77,10 @@ def test_full_loss_chain_gradients_match_finite_differences():
     model = init_model(seed=9, norm=stats)
 
     def loss_value():
-        loss, _, _ = loss_and_grads(model, x, betas, alphas, sinr_opt,
-                                    radio.rho_d())
+        loss, _, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
         return loss
 
-    _, grads, _ = loss_and_grads(model, x, betas, alphas, sinr_opt,
-                                 radio.rho_d())
+    _, grads, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
     pick = np.random.default_rng(2)
     for name, p in model.params.items():
         flat = p.reshape(-1)
@@ -108,10 +106,9 @@ def test_zero_residual_gives_zero_gradients():
     x = normalize_input(beta[0], stats)[None]
     model = init_model(seed=4, norm=stats)
     # use the model's own predictions as the target: residual is exactly zero
-    loss0, _, sinr_pred = loss_and_grads(
-        model, x, beta, alpha, np.zeros((1, k)), radio.rho_d())
-    loss, grads, _ = loss_and_grads(model, x, beta, alpha, sinr_pred,
-                                    radio.rho_d())
+    loss0, _, sinr_pred = loss_and_grads(model, x, beta, alpha,
+                                         np.zeros((1, k)))
+    loss, grads, _ = loss_and_grads(model, x, beta, alpha, sinr_pred)
     assert loss == 0.0
     for name, g in grads.items():
         np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)

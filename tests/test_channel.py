@@ -129,9 +129,7 @@ def test_radio_defaults_noise_and_power_ratios():
 
 def test_make_scenario_defaults_and_validation():
     cfg = make_scenario(8, 3, "urban")
-    assert cfg.tau == 3
-    assert (cfg.rho_d, cfg.rho_u) == (RadioDefaults.rho_d(),
-                                      RadioDefaults.rho_u())
+    assert (cfg.num_aps, cfg.num_ues) == (8, 3)
     assert cfg.morphology.name == "urban"
     with pytest.raises(ValueError):
         make_scenario(8, 3, "desert")

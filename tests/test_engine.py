@@ -253,9 +253,16 @@ def test_projection_rejects_non_finite():
         project_powers(np.array([[np.nan, 0.0]]), NORM)
 
 
+def test_projection_rejects_powers_that_overflow():
+    """A finite raw output whose exp2 overflows must not come back as NaN."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="infinite powers"):
+            project_powers(np.array([[2000.0, 0.0]]), NormStats(0, 1, 0, 1))
+
+
 def test_model_has_documented_parameter_count():
     model = init_model(seed=0, norm=NORM)
-    assert model.num_params() == 16713
+    assert sum(p.size for p in model.params.values()) == 16713
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

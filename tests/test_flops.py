@@ -13,16 +13,16 @@ def test_counter_primitives():
     c.mul(3)
     c.add(4)
     assert (c.multiplies, c.adds, c.total) == (3, 4, 7)
-    c.reset()
+    c = FlopCounter()
     c.dot(5)              # length-5 dot: 5 muls + 5 adds
     assert (c.multiplies, c.adds) == (5, 5)
-    c.reset()
+    c = FlopCounter()
     c.matmul(2, 3, 4)     # 8 dots of length 3
     assert (c.multiplies, c.adds) == (24, 24)
-    c.reset()
+    c = FlopCounter()
     c.linear(2, 3, 4)     # matmul plus bias adds
     assert (c.multiplies, c.adds) == (24, 32)
-    c.reset()
+    c = FlopCounter()
     c.solve_lu(3, rhs=2)
     assert c.multiplies == 9 + 18
     assert c.adds == 9 + 18

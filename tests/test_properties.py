@@ -35,7 +35,7 @@ def instances(draw):
 @given(instances())
 def test_solver_returns_feasible_powers(instance):
     beta, k = instance
-    sol = solve_maxmin(beta, RHO_D, RHO_U, k)
+    sol = solve_maxmin(beta)
     assert is_feasible(sol.eta)
     alpha = compute_alpha(beta, RHO_U, k)
     sinr = compute_sinr(beta, alpha, sol.eta, RHO_D)
@@ -49,8 +49,8 @@ def test_solver_optimum_is_permutation_invariant(instance, rnd):
     beta, k = instance
     ap_perm = rnd.sample(range(beta.shape[0]), beta.shape[0])
     ue_perm = rnd.sample(range(k), k)
-    t_star = solve_maxmin(beta, RHO_D, RHO_U, k).t_star
-    t_perm = solve_maxmin(beta[ap_perm][:, ue_perm], RHO_D, RHO_U, k).t_star
+    t_star = solve_maxmin(beta).t_star
+    t_perm = solve_maxmin(beta[ap_perm][:, ue_perm]).t_star
     assert abs(t_perm - t_star) <= 2e-4 * t_star
 
 

@@ -63,13 +63,12 @@ def test_loss_invariant_under_joint_sample_permutation(labeled_4x2, radio):
     alpha = compute_alpha(sample.beta, radio.rho_u(), 2)
     x = normalize_input(sample.beta, stats)
     base, _, _ = loss_and_grads(model, x[None], sample.beta[None], alpha[None],
-                                np.asarray(sample.sinr_opt)[None], radio.rho_d())
+                                np.asarray(sample.sinr_opt)[None])
     beta_p = sample.beta[sigma][:, rho]
     alpha_p = alpha[sigma][:, rho]
     x_p = normalize_input(beta_p, stats)
     permuted, _, _ = loss_and_grads(model, x_p[None], beta_p[None], alpha_p[None],
-                                    np.asarray(sample.sinr_opt)[rho][None],
-                                    radio.rho_d())
+                                    np.asarray(sample.sinr_opt)[rho][None])
     assert permuted == pytest.approx(base, rel=1e-9)
 
 
