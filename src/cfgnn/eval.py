@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RadioDefaults, make_scenario, generate_sample_fading
+from .channel import make_scenario, generate_sample_fading
 from .data import Sample, normalize_input
 from .engine import count_flops, forward, project_powers
 from .flops import FlopCounter
 from .graph import build_graph
 from .maxmin import equal_power, solve_maxmin
 from .model import GnnModel
-from .sinr import compute_alpha, compute_sinr, spectral_efficiency
+from .sinr import compute_sinr, link, spectral_efficiency
 
 METHODS = ("optimal", "gnn", "equal_power")
 
@@ -68,13 +68,12 @@ def evaluate(model: GnnModel, eval_set: list[Sample]) -> EvalReport:
     if not all(s.labeled for s in eval_set):
         raise ValueError("evaluation requires labeled samples")
 
-    rho_d, rho_u = RadioDefaults.rho_d(), RadioDefaults.rho_u()
     se: dict[str, list[float]] = {m: [] for m in METHODS}
     shapes = {(s.num_aps, s.num_ues) for s in eval_set}
     morphs = {s.morphology for s in eval_set}
     for sample in eval_set:
         m, k = sample.num_aps, sample.num_ues
-        alpha = compute_alpha(sample.beta, rho_u, k)
+        alpha, rho_d = link(sample.beta)
         graph = build_graph(m, k)
         x = normalize_input(sample.beta, model.norm)
         eta_gnn = project_powers(forward(graph, x, model), model.norm)

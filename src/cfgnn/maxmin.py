@@ -7,10 +7,10 @@ sigma = sqrt(eta), the constraint SINR_k >= t becomes a second-order cone:
     sum_m sqrt(alpha'[m,k]) * sigma[m,k]
         >= sqrt(t) * || (1, {sqrt(beta'[m,k]) * sigma[m,j]}_{m,j}) ||_2
 
-with alpha' = rho_d * alpha and beta' = rho_d * beta (the RadioDefaults
-powers, tau = K orthogonal pilots), and each per-AP budget is the ball
-||sigma[m, :]|| <= 1.  Feasibility of a target t is therefore a convex
-question, and the optimum is found by bisection on t.
+with alpha' = rho_d * alpha and beta' = rho_d * beta (alpha and rho_d from
+sinr.link), and each per-AP budget is the ball ||sigma[m, :]|| <= 1.
+Feasibility of a target t is therefore a convex question, and the optimum
+is found by bisection on t.
 
 Each feasibility test solves a margin maximisation
 
@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RadioDefaults
 from .flops import FlopCounter
-from .sinr import compute_alpha, compute_sinr
+from .sinr import Link, compute_sinr, link
 
 _LOG_BARRIER_MU = 30.0
 _NEWTON_MAX_STEPS = 60
@@ -67,13 +66,6 @@ class MaxMinSolution:
 
 class SolverError(RuntimeError):
     """Raised when no allocation gives every user a positive SINR."""
-
-
-def _link(beta: np.ndarray) -> tuple[np.ndarray, float]:
-    """(alpha, rho_d) of the one link budget the solver and the oracle use:
-    the RadioDefaults powers and tau = K orthogonal pilots."""
-    return (compute_alpha(beta, RadioDefaults.rho_u(), beta.shape[-1]),
-            RadioDefaults.rho_d())
 
 
 def _state(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray, s: float) -> tuple:
@@ -271,8 +263,11 @@ def _sinr_scaled(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
 def upper_bound_sinr(beta: np.ndarray) -> float:
     """max_k rho_d * (sum_m sqrt(alpha[m, k]))**2, an unreachable target."""
-    alpha, rho_d = _link(np.asarray(beta, dtype=float))
-    return float(np.max(rho_d * np.sqrt(alpha).sum(axis=0) ** 2))
+    return _upper_bound(link(beta))
+
+
+def _upper_bound(lk: Link) -> float:
+    return float(np.max(lk.rho_d * np.sqrt(lk.alpha).sum(axis=0) ** 2))
 
 
 def equal_power(num_aps: int, num_ues: int) -> np.ndarray:
@@ -290,7 +285,7 @@ def feasibility_check(beta: np.ndarray, t: float) -> np.ndarray | None:
     if t <= 0:
         raise ValueError("target t must be positive")
     beta = np.asarray(beta, dtype=float)
-    alpha, rho_d = _link(beta)
+    alpha, rho_d = link(beta)
     feasible, eta, _ = _margin_solve(np.sqrt(rho_d * alpha), rho_d * beta, t)
     return eta if feasible else None
 
@@ -309,11 +304,12 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     to within _SPREAD_REL relative spread.
     """
     beta = np.asarray(beta, dtype=float)
-    alpha, rho_d = _link(beta)
+    lk = link(beta)
+    alpha, rho_d = lk
     sa = np.sqrt(rho_d * alpha)
     bs = rho_d * beta
 
-    hi = upper_bound_sinr(beta)
+    hi = _upper_bound(lk)
     lo = _T_FLOOR
     feasible = False
     if lo < hi:
@@ -414,8 +410,8 @@ def _simplex_grid(k: int, g: int, lo: np.ndarray | None = None,
     return rec(0, g)
 
 
-def _grid_search(beta: np.ndarray, row_cands: list[np.ndarray], step: float,
-                 top: int = 1, chunk: int = 1 << 19
+def _grid_search(beta: np.ndarray, lk: Link, row_cands: list[np.ndarray],
+                 step: float, top: int = 1, chunk: int = 1 << 19
                  ) -> list[tuple[float, list[int]]]:
     """Maximise min-SINR over the cartesian product of per-row candidate grids.
 
@@ -424,7 +420,7 @@ def _grid_search(beta: np.ndarray, row_cands: list[np.ndarray], step: float,
     (value, per-row candidate indices) pairs in descending order.
     """
     m_ap, k_ue = beta.shape
-    alpha, rho_d = _link(beta)
+    alpha, rho_d = lk
     counts = [c.shape[0] for c in row_cands]
 
     def merge(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +501,8 @@ def brute_force_maxmin(beta: np.ndarray, grid_step: float = 0.01,
     m_ap, k_ue = beta.shape
     if m_ap * k_ue > 6:
         raise ValueError("brute force oracle is limited to M * K <= 6")
-    alpha, rho_d = _link(beta)
+    lk = link(beta)
+    alpha, rho_d = lk
     g = round(1.0 / grid_step)
     if abs(g * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step {grid_step} must divide 1 exactly")
@@ -514,7 +511,7 @@ def brute_force_maxmin(beta: np.ndarray, grid_step: float = 0.01,
     total = fine.shape[0] ** m_ap
     if total <= budget:
         cands = [fine] * m_ap
-        (val, idx), = _grid_search(beta, cands, grid_step, top=1)
+        (val, idx), = _grid_search(beta, lk, cands, grid_step, top=1)
         eta = np.stack([cands[m][idx[m]] * grid_step for m in range(m_ap)])
         sinr = compute_sinr(beta, alpha, eta, rho_d)
         return MaxMinSolution(t_star=val, eta=eta, sinr=sinr,
@@ -529,7 +526,7 @@ def brute_force_maxmin(beta: np.ndarray, grid_step: float = 0.01,
     window = g // gc
     coarse = _simplex_grid(k_ue, gc)
     cands_c = [coarse] * m_ap
-    leaders = _grid_search(beta, cands_c, 1.0 / gc, top=refine_top)
+    leaders = _grid_search(beta, lk, cands_c, 1.0 / gc, top=refine_top)
 
     best_val = leaders[0][0]
     best_eta = np.stack([coarse[leaders[0][1][m]] / gc for m in range(m_ap)])
@@ -541,7 +538,7 @@ def brute_force_maxmin(beta: np.ndarray, grid_step: float = 0.01,
             cands_f.append(_simplex_grid(k_ue, g, lo=centre - window,
                                          hi=centre + window))
         evals += int(np.prod([c.shape[0] for c in cands_f], dtype=np.int64))
-        (val, idx), = _grid_search(beta, cands_f, grid_step, top=1)
+        (val, idx), = _grid_search(beta, lk, cands_f, grid_step, top=1)
         if val > best_val:
             best_val = val
             best_eta = np.stack([cands_f[m][idx[m]] * grid_step

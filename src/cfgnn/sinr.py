@@ -15,19 +15,38 @@ The numerator is coherent beamforming gain; the denominator collects noise
 plus the total power each AP radiates weighted by how strongly it is heard
 by user k.  `sinr_kernel` is the one implementation of this expression,
 batched over leading axes; `compute_sinr` validates one (M, K) allocation
-and calls it.
+and calls it.  `link` fixes the symbols to the package's one link budget.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+
+from .channel import RadioDefaults
+
+
+class Link(NamedTuple):
+    """Channel estimate quality and downlink power of a draw or a batch."""
+
+    alpha: np.ndarray
+    rho_d: float
+
+
+def link(beta: np.ndarray) -> Link:
+    """The link budget of the package applied to beta (..., M, K): the
+    RadioDefaults powers with tau = K orthogonal pilots, one per user."""
+    beta = np.asarray(beta, dtype=float)
+    return Link(compute_alpha(beta, RadioDefaults.rho_u(), beta.shape[-1]),
+                RadioDefaults.rho_d())
 
 
 def compute_alpha(beta: np.ndarray, rho_u: float, tau: int) -> np.ndarray:
-    """Channel estimate quality matrix, same shape as beta."""
+    """Channel estimate quality, same shape as beta (..., M, K)."""
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2:
-        raise ValueError(f"beta must be 2-D (M, K), got shape {beta.shape}")
+    if beta.ndim < 2:
+        raise ValueError(f"beta must be (..., M, K), got shape {beta.shape}")
     if np.any(beta < 0):
         raise ValueError("beta entries must be non-negative")
     if rho_u <= 0:

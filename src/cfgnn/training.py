@@ -29,13 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import RadioDefaults
 from .data import (NormStats, Sample, compute_norm_stats, denormalize_output,
                    normalize_input)
 from .engine import backward, forward
 from .graph import build_graph
 from .model import GnnModel, init_model, load_checkpoint, save_checkpoint
-from .sinr import compute_alpha, sinr_kernel
+from .sinr import link, sinr_kernel
 
 LN2 = math.log(2.0)
 
@@ -74,16 +73,15 @@ def sinr_mse_loss(sinr_opt: np.ndarray, sinr_pred: np.ndarray) -> float:
 
 
 def loss_and_grads(model: GnnModel, batch_x: np.ndarray, batch_beta: np.ndarray,
-                   batch_alpha: np.ndarray, batch_sinr_opt: np.ndarray
+                   batch_sinr_opt: np.ndarray
                    ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Loss, parameter gradients and predicted SINRs for one batch, under
-    the RadioDefaults downlink power.
+    """Loss, parameter gradients and predicted SINRs for one batch.
 
-    batch_x: normalized inputs (S, M, K); batch_beta/alpha: (S, M, K);
+    batch_x: normalized inputs (S, M, K); batch_beta: (S, M, K);
     batch_sinr_opt: (S, K).
     """
     s, m, k = batch_x.shape
-    rho_d = RadioDefaults.rho_d()
+    batch_alpha, rho_d = link(batch_beta)
     graph = build_graph(m, k)
     y, tape = forward(graph, batch_x, model, want_tape=True)
     eta = denormalize_output(y, model.norm)
@@ -162,12 +160,10 @@ class _Bucket:
     num_ues: int
     x: np.ndarray          # (n, M, K) normalized inputs
     beta: np.ndarray
-    alpha: np.ndarray
     sinr_opt: np.ndarray   # (n, K)
 
 
 def _make_buckets(samples: list[Sample], stats: NormStats) -> list[_Bucket]:
-    rho_u = RadioDefaults.rho_u()
     order: list[tuple[int, int]] = []
     grouped: dict[tuple[int, int], list[Sample]] = {}
     for sample in samples:
@@ -180,12 +176,10 @@ def _make_buckets(samples: list[Sample], stats: NormStats) -> list[_Bucket]:
     for key in order:
         members = grouped[key]
         beta = np.stack([s.beta for s in members])
-        alpha = np.stack([compute_alpha(s.beta, rho_u, s.num_ues)
-                          for s in members])
         x = np.stack([normalize_input(s.beta, stats) for s in members])
         sinr = np.stack([s.sinr_opt for s in members])
         buckets.append(_Bucket(num_aps=key[0], num_ues=key[1], x=x,
-                               beta=beta, alpha=alpha, sinr_opt=sinr))
+                               beta=beta, sinr_opt=sinr))
     return buckets
 
 
@@ -202,13 +196,13 @@ def _epoch_batches(buckets: list[_Bucket], batch_size: int,
 
 
 def _validation_loss(model: GnnModel, buckets: list[_Bucket]) -> float:
-    rho_d = RadioDefaults.rho_d()
     total, count = 0.0, 0
     for bucket in buckets:
         graph = build_graph(bucket.num_aps, bucket.num_ues)
         y = forward(graph, bucket.x, model)
         eta = denormalize_output(y, model.norm)
-        sinr, _, _ = sinr_kernel(bucket.beta, bucket.alpha, eta, rho_d)
+        alpha, rho_d = link(bucket.beta)
+        sinr, _, _ = sinr_kernel(bucket.beta, alpha, eta, rho_d)
         per_sample = np.mean((bucket.sinr_opt - sinr) ** 2, axis=-1)
         total += float(per_sample.sum())
         count += per_sample.size
@@ -276,7 +270,7 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
             for b, idx in _epoch_batches(train_buckets, cfg.batch_size, rng):
                 bucket = train_buckets[b]
                 loss, grads, _ = loss_and_grads(
-                    model, bucket.x[idx], bucket.beta[idx], bucket.alpha[idx],
+                    model, bucket.x[idx], bucket.beta[idx],
                     bucket.sinr_opt[idx])
                 if not math.isfinite(loss):
                     dump = out / "diagnostic_dump.json"

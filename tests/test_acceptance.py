@@ -134,7 +134,6 @@ def test_criterion_4_gradients_match_finite_differences():
     num_aps, num_ues, batch = 4, 3, 2
     cfg = make_scenario(num_aps, num_ues, "urban")
     betas = np.stack([generate_sample_fading(cfg, 13, i) for i in range(batch)])
-    alphas = np.stack([compute_alpha(b, RADIO.rho_u(), num_ues) for b in betas])
     stats = NormStats(in_mean=float(np.log2(betas).mean()),
                       in_std=float(np.log2(betas).std()),
                       out_mean=-3.0, out_std=1.5)
@@ -143,10 +142,10 @@ def test_criterion_4_gradients_match_finite_differences():
     model = init_model(seed=21, norm=stats)
 
     def loss_value() -> float:
-        loss, _, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
+        loss, _, _ = loss_and_grads(model, x, betas, sinr_opt)
         return loss
 
-    _, grads, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
+    _, grads, _ = loss_and_grads(model, x, betas, sinr_opt)
     pick = np.random.default_rng(6)
     fd_step = 1e-5
     checked = 0

@@ -9,12 +9,11 @@ cancel through the softmax row shift) show only rounding noise under FD.
 import numpy as np
 import pytest
 
-from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
+from cfgnn.channel import make_scenario, generate_sample_fading
 from cfgnn.data import NormStats, normalize_input
 from cfgnn.engine import backward, forward
 from cfgnn.graph import build_graph
 from cfgnn.model import LayerPlan, init_model
-from cfgnn.sinr import compute_alpha
 from cfgnn.training import loss_and_grads
 
 FD_STEP = 1e-5
@@ -65,10 +64,8 @@ def test_network_gradients_match_finite_differences():
 def test_full_loss_chain_gradients_match_finite_differences():
     """FD check through denormalization, the SINR map, and the MSE loss."""
     m, k, batch = 3, 2, 2
-    radio = RadioDefaults()
     cfg = make_scenario(m, k, "urban")
     betas = np.stack([generate_sample_fading(cfg, 7, i) for i in range(batch)])
-    alphas = np.stack([compute_alpha(b, radio.rho_u(), k) for b in betas])
     stats = NormStats(in_mean=float(np.log2(betas).mean()),
                       in_std=float(np.log2(betas).std()),
                       out_mean=-3.0, out_std=1.5)
@@ -77,10 +74,10 @@ def test_full_loss_chain_gradients_match_finite_differences():
     model = init_model(seed=9, norm=stats)
 
     def loss_value():
-        loss, _, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
+        loss, _, _ = loss_and_grads(model, x, betas, sinr_opt)
         return loss
 
-    _, grads, _ = loss_and_grads(model, x, betas, alphas, sinr_opt)
+    _, grads, _ = loss_and_grads(model, x, betas, sinr_opt)
     pick = np.random.default_rng(2)
     for name, p in model.params.items():
         flat = p.reshape(-1)
@@ -98,17 +95,14 @@ def test_full_loss_chain_gradients_match_finite_differences():
 
 def test_zero_residual_gives_zero_gradients():
     m, k = 3, 2
-    radio = RadioDefaults()
     cfg = make_scenario(m, k, "urban")
     beta = generate_sample_fading(cfg, 11)[None]
-    alpha = compute_alpha(beta[0], radio.rho_u(), k)[None]
     stats = NormStats(-30.0, 4.0, -3.0, 1.5)
     x = normalize_input(beta[0], stats)[None]
     model = init_model(seed=4, norm=stats)
     # use the model's own predictions as the target: residual is exactly zero
-    loss0, _, sinr_pred = loss_and_grads(model, x, beta, alpha,
-                                         np.zeros((1, k)))
-    loss, grads, _ = loss_and_grads(model, x, beta, alpha, sinr_pred)
+    loss0, _, sinr_pred = loss_and_grads(model, x, beta, np.zeros((1, k)))
+    loss, grads, _ = loss_and_grads(model, x, beta, sinr_pred)
     assert loss == 0.0
     for name, g in grads.items():
         np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)

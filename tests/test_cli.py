@@ -136,20 +136,6 @@ def test_train_config_with_removed_key_is_usage_error(tmp_path, capsys):
     assert "bad training config" in capsys.readouterr().err
 
 
-def test_train_on_a_label_that_fails_its_check_exits_one(tmp_path, capsys):
-    fixture = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-               / "heldout_8x3.jsonl")
-    lines = fixture.read_text(encoding="utf-8").splitlines()[:4]
-    doc = json.loads(lines[2])
-    doc["sinr_opt"][0] *= 1.001
-    lines[2] = json.dumps(doc)
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    assert main(["--threads", "1", "train", "--data", str(bad),
-                 "--out", str(tmp_path / "run")]) == 1
-    assert f"{bad}:3: stored sinr_opt deviates" in capsys.readouterr().err
-
-
 def test_malformed_dataset_exits_one_with_line_number(tmp_path, capsys):
     from cfgnn.model import init_model, save_checkpoint
 

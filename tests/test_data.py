@@ -173,19 +173,3 @@ def test_read_jsonl_rejects_negative_eta(tmp_path, labeled_4x2):
     path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
     with pytest.raises(ValueError, match=r"bad\.jsonl:2: eta_opt entries must be non-negative"):
         read_jsonl(path)
-
-
-def test_read_jsonl_rejects_over_budget_eta(tmp_path, labeled_4x2):
-    def corrupt(doc):
-        doc["eta_opt"][0] += 1.0          # AP 0 now radiates over its budget
-    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
-    with pytest.raises(ValueError, match=r"bad\.jsonl:2: stored eta_opt violates the per-AP budget"):
-        read_jsonl(path)
-
-
-def test_read_jsonl_rejects_sinr_off_by_a_thousandth(tmp_path, labeled_4x2):
-    def corrupt(doc):
-        doc["sinr_opt"][1] *= 1.001
-    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
-    with pytest.raises(ValueError, match=r"bad\.jsonl:2: stored sinr_opt deviates"):
-        read_jsonl(path)

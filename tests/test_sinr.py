@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cfgnn.channel import make_scenario, generate_sample_fading
+from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
 from cfgnn.sinr import (
     compute_alpha,
     compute_sinr,
     is_feasible,
+    link,
     sinr_kernel,
     spectral_efficiency,
 )
@@ -103,6 +104,17 @@ def test_sinr_kernel_batch_equals_single_exactly():
                            for s in range(16)])
         np.testing.assert_array_equal(sinr, single)
         np.testing.assert_array_equal(sinr, 2e11 * gain * gain / den)
+
+
+def test_link_uses_radio_defaults_and_one_pilot_per_user_batched_or_not():
+    """A batch of draws gets the same alpha bits as one draw at a time."""
+    beta = 10.0 ** np.random.default_rng(6).uniform(-12, -7, size=(4, 8, 3))
+    alpha, rho_d = link(beta)
+    assert rho_d == RadioDefaults.rho_d()
+    for s in range(4):
+        np.testing.assert_array_equal(
+            alpha[s], compute_alpha(beta[s], RadioDefaults.rho_u(), 3))
+        np.testing.assert_array_equal(alpha[s], link(beta[s]).alpha)
 
 
 def test_sinr_rejects_negative_eta():

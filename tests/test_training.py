@@ -7,11 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfgnn.channel import RadioDefaults
 from cfgnn.data import NormStats, normalize_input
 from cfgnn.model import init_model, load_checkpoint
 from cfgnn import training
-from cfgnn.sinr import compute_alpha
 from cfgnn.training import (
     AdamState,
     TrainConfig,
@@ -53,21 +51,19 @@ def test_loss_shape_mismatch_raises():
         sinr_mse_loss(np.zeros(3), np.zeros(4))
 
 
-def test_loss_invariant_under_joint_sample_permutation(labeled_4x2, radio):
+def test_loss_invariant_under_joint_sample_permutation(labeled_4x2):
     """Permuting a sample's APs and users together cannot change the loss."""
     sample = labeled_4x2[0]
     stats = NormStats(-30.0, 4.0, -3.0, 1.5)
     model = init_model(seed=2, norm=stats)
     rng = np.random.default_rng(1)
     sigma, rho = rng.permutation(4), rng.permutation(2)
-    alpha = compute_alpha(sample.beta, radio.rho_u(), 2)
     x = normalize_input(sample.beta, stats)
-    base, _, _ = loss_and_grads(model, x[None], sample.beta[None], alpha[None],
+    base, _, _ = loss_and_grads(model, x[None], sample.beta[None],
                                 np.asarray(sample.sinr_opt)[None])
     beta_p = sample.beta[sigma][:, rho]
-    alpha_p = alpha[sigma][:, rho]
     x_p = normalize_input(beta_p, stats)
-    permuted, _, _ = loss_and_grads(model, x_p[None], beta_p[None], alpha_p[None],
+    permuted, _, _ = loss_and_grads(model, x_p[None], beta_p[None],
                                     np.asarray(sample.sinr_opt)[rho][None])
     assert permuted == pytest.approx(base, rel=1e-9)
 
