@@ -98,12 +98,19 @@ def _count_state(counter: FlopCounter, m: int, k: int) -> None:
 
 def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
                       sig: np.ndarray, s: float, state: tuple,
-                      counter: FlopCounter | None) -> tuple[np.ndarray, float, np.ndarray, float]:
+                      counter: FlopCounter | None, work: tuple[np.ndarray, np.ndarray]
+                      ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """One Newton system for the barrier subproblem.  Returns
-    (delta_sigma, delta_s, grad_sigma, grad_s dotted into delta)."""
+    (delta_sigma, delta_s, grad_sigma, grad_s dotted into delta).
+
+    The (n+1)^2 Hessian is assembled in place in work = (h, pp), buffers of
+    shape (n+1, n+1) and (n, n) that _margin_solve allocates once per
+    feasibility test; only a regularised retry builds another dense matrix.
+    """
     m_ap, k_ue = sig.shape
     n = m_ap * k_ue
     r, ball, q, g, margins = state
+    h, pp = work
 
     u = 1.0 / margins
     b_inv = 1.0 / ball
@@ -124,14 +131,17 @@ def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
     p_coef = np.sqrt(u / (q * q * q))
     p_full = (p_coef[:, None, None] * p_t).reshape(k_ue, n)
 
-    h = np.zeros((n + 1, n + 1))
-    h[np.arange(n), np.arange(n)] = row_scale.repeat(k_ue)
-    h += v_full.T @ v_full
-    h[:n, :n] -= p_full.T @ p_full
+    # H = V'V + diag(row_scale per entry) - P'P + one ball block per AP, on
+    # the sigma block.  Each entry gets the same additions as when summed
+    # onto zeros, so the bits do not depend on the order of the first two.
+    np.matmul(v_full.T, v_full, out=h)
+    diag = np.arange(n)
+    h[diag, diag] += row_scale.repeat(k_ue)
+    np.matmul(p_full.T, p_full, out=pp)
+    h[:n, :n] -= pp
     blocks = (4.0 * b_inv * b_inv)[:, None, None] * sig[:, :, None] * sig[:, None, :]
-    for m in range(m_ap):
-        rows = slice(m * k_ue, (m + 1) * k_ue)
-        h[rows, rows] += blocks[m]
+    aps = np.arange(m_ap)   # h[:n, :n] splits into a (M, K, M, K) view
+    h[:n, :n].reshape(m_ap, k_ue, m_ap, k_ue)[aps, :, aps, :] += blocks
 
     if counter is not None:
         counter.mul(6 * n + 4 * k_ue + 2 * m_ap)       # gradient assembly
@@ -139,14 +149,16 @@ def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
         counter.matmul(n + 1, k_ue, n + 1)             # v_full.T @ v_full
         counter.matmul(n, k_ue, n)                     # p_full.T @ p_full
         counter.mul(m_ap * k_ue * k_ue)                # ball blocks
-        counter.add(2 * (n + 1) * (n + 1))             # Hessian accumulation
+        counter.add(n + n * n + m_ap * k_ue * k_ue)    # diagonal, -P'P, blocks
         counter.solve_lu(n + 1)
 
     reg = 0.0
-    base = float(np.mean(row_scale.repeat(k_ue))) + 1e-30
     for _ in range(8):
         try:
             if reg:
+                if counter is not None:
+                    counter.newton_retries += 1
+                base = float(np.mean(row_scale.repeat(k_ue))) + 1e-30
                 delta = np.linalg.solve(h + reg * base * np.eye(n + 1), -grad)
             else:
                 delta = np.linalg.solve(h, -grad)
@@ -158,20 +170,23 @@ def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
             return delta[:n].reshape(m_ap, k_ue), float(delta[n]), grad, slope
         reg = max(reg * 10.0, 1e-12)
     # Fall back to steepest descent if the system is hopeless.
+    if counter is not None:
+        counter.newton_fallbacks += 1
     gn = float(grad @ grad)
     delta = -grad / math.sqrt(gn + 1e-300)
     return delta[:n].reshape(m_ap, k_ue), float(delta[n]), grad, -math.sqrt(gn)
 
 
 def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
-            s: float, counter: FlopCounter | None
+            s: float, counter: FlopCounter | None,
+            work: tuple[np.ndarray, np.ndarray]
             ) -> tuple[np.ndarray, float, tuple]:
     """Newton iterations minimising the barrier at a fixed objective weight."""
     state = _state(sa, bs, sig, s)
     phi = _phi(weight, s, state[4], state[1])
     for _ in range(_NEWTON_MAX_STEPS):
         dsig, ds, grad, slope = _newton_direction(weight, sa, bs, sig, s,
-                                                  state, counter)
+                                                  state, counter, work)
         dec2 = -slope
         if dec2 / 2.0 <= _NEWTON_DEC2_TOL:
             break
@@ -227,8 +242,10 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
     weight = n_constr / (0.25 * scale0)
     gap_floor = 1e-12 * scale0
     best: tuple[bool, np.ndarray | None, float] | None = None
+    n = m_ap * k_ue
+    work = (np.empty((n + 1, n + 1)), np.empty((n, n)))
     while True:
-        sig, s, state = _center(weight, sa_t, bs, sig, s, counter)
+        sig, s, state = _center(weight, sa_t, bs, sig, s, counter, work)
         gap = n_constr / weight
         if s > 0.0:
             achieved = _achieved_min_sinr(sa, bs, sig)

@@ -1,9 +1,16 @@
 """Bisection solver against closed forms, the grid oracle, and baselines."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from cfgnn import maxmin
 from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
+from cfgnn.cli import _BLAS_VARS
 from cfgnn.data import generate_unlabeled
 from cfgnn.flops import FlopCounter
 from cfgnn.maxmin import (
@@ -14,7 +21,8 @@ from cfgnn.maxmin import (
     solve_maxmin,
     upper_bound_sinr,
 )
-from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible
+from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible, link
+from oracle import dense_newton_system
 
 RHO_D, RHO_U = RadioDefaults.rho_d(), RadioDefaults.rho_u()
 
@@ -173,3 +181,111 @@ def test_solver_counts_flops_when_instrumented():
     solve_maxmin(beta, counter=counter)
     assert counter.total > 10_000
     assert counter.total == counter.multiplies + counter.adds
+    assert counter.newton_retries == counter.newton_fallbacks == 0
+
+
+@pytest.mark.parametrize("m, k, morphology", [(2, 2, "rural"), (8, 3, "urban"),
+                                              (16, 5, "rural"), (32, 9, "urban")])
+def test_newton_direction_equals_dense_reference_bit_for_bit(monkeypatch, m, k,
+                                                             morphology):
+    """Every Newton system of a whole solve, against solving the dense oracle."""
+    direction = maxmin._newton_direction
+    checked = []
+
+    def checked_direction(weight, sa, bs, sig, s, state, counter, work):
+        got = direction(weight, sa, bs, sig, s, state, counter, work)
+        assert np.all(state[4] > 0.0) and np.all(state[1] > 0.0)  # interior
+        h, grad = dense_newton_system(weight, sa, bs, sig, s, state)
+        delta = np.linalg.solve(h, -grad)
+        slope = float(grad @ delta)
+        assert slope < 0.0
+        want = (delta[:m * k].reshape(m, k), float(delta[m * k]), grad, slope)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        checked.append(1)
+        return got
+
+    monkeypatch.setattr(maxmin, "_newton_direction", checked_direction)
+    solve_maxmin(_instance(m, k, 7, morphology))
+    assert len(checked) > 50
+
+
+_GOLDEN_32X9 = """
+import hashlib, json, resource
+from cfgnn.data import generate_unlabeled
+from cfgnn.flops import FlopCounter
+from cfgnn.maxmin import solve_maxmin
+
+class Counter(FlopCounter):
+    lu_calls = 0
+
+    def solve_lu(self, n, rhs=1):
+        self.lu_calls += 1
+        super().solve_lu(n, rhs)
+
+solve_maxmin(generate_unlabeled([(8, 3, "urban", 1)], run_seed=1)[0].beta)
+beta = generate_unlabeled([(32, 9, "urban", 1)], run_seed=2017)[0].beta
+counter = Counter()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sol = solve_maxmin(beta, counter=counter)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"t_star": sol.t_star, "iterations": sol.iterations,
+                  "eta_sha256": hashlib.sha256(sol.eta.tobytes()).hexdigest(),
+                  "lu_calls": counter.lu_calls, "minflt": faults}))
+"""
+
+
+def test_benchmark_32x9_instance_golden_and_fault_budget():
+    """The benchmark's label-32x9 instance, solved in a fresh one-BLAS-thread
+    process after a warm-up 8x3 solve: golden bits and Newton systems, and a
+    fault budget.  Fresh (MK+1)^2 arrays per Newton system cost about 295
+    minor page faults each under glibc's default mmap threshold; the
+    per-feasibility-test workspace costs about 9."""
+    env = dict(os.environ, **{var: "1" for var in _BLAS_VARS})
+    result = subprocess.run([sys.executable, "-c", _GOLDEN_32X9], env=env,
+                            capture_output=True, text=True, check=True)
+    got = json.loads(result.stdout)
+    assert got["t_star"] == 2.186903999942864
+    assert got["iterations"] == 24
+    assert got["eta_sha256"] == ("641d95a5fb8870b681fc1d2411833f03"
+                                 "bfb09473427c35ffd7f16966089bad00")
+    assert got["lu_calls"] == 847
+    assert got["minflt"] < 30 * got["lu_calls"]
+
+
+def test_a_singular_newton_system_is_counted_as_one_retry(monkeypatch):
+    solve = np.linalg.solve
+    calls = []
+
+    def singular_once(a, b):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(maxmin.np.linalg, "solve", singular_once)
+    counter = FlopCounter()
+    sol = solve_maxmin(_instance(3, 2, 13), counter=counter)
+    assert sol.converged
+    assert (counter.newton_retries, counter.newton_fallbacks) == (1, 0)
+
+
+def test_a_hopeless_newton_system_falls_back_to_steepest_descent(monkeypatch):
+    """Eight attempts (one plain, seven regularised), then one fallback."""
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    beta = _instance(3, 2, 13)
+    alpha, rho_d = link(beta)
+    sa, bs = np.sqrt(rho_d * alpha), rho_d * beta
+    sig = np.full((3, 2), 0.5)
+    state = maxmin._state(sa, bs, sig, 0.0)
+    s = float(np.min(state[3])) - 0.05
+    state = maxmin._state(sa, bs, sig, s)
+    work = (np.empty((7, 7)), np.empty((6, 6)))
+    monkeypatch.setattr(maxmin.np.linalg, "solve", singular)
+    counter = FlopCounter()
+    dsig, ds, grad, slope = maxmin._newton_direction(1.0, sa, bs, sig, s, state,
+                                                     counter, work)
+    assert (counter.newton_retries, counter.newton_fallbacks) == (7, 1)
+    assert slope == -np.sqrt(grad @ grad)
+    np.testing.assert_allclose(np.append(dsig.ravel(), ds), grad / slope)
