@@ -51,51 +51,58 @@ def _type_arrays(model: GnnModel, t: int, edge_type: str) -> tuple:
 # Batched fast path
 # ---------------------------------------------------------------------------
 
-def _apply_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(S, G, N, n_in) -> (S, G, C, N, d) head-major affine map."""
-    s, g, nmem, n_in = x.shape
-    c, d, _ = w.shape
-    flat = x.reshape(-1, n_in) @ w.reshape(c * d, n_in).T + b.reshape(-1)
-    return flat.reshape(s, g, nmem, c, d).transpose(0, 1, 3, 2, 4)
+def _apply_map(x_flat: np.ndarray, w: np.ndarray, b: np.ndarray,
+               lead: tuple[int, int, int]) -> np.ndarray:
+    """(S*G*N, n_in) -> (S, G, C, N, d) head-major affine map; lead = (S, G, N)."""
+    c, d, n_in = w.shape
+    flat = x_flat @ w.reshape(c * d, n_in).T + b.reshape(-1)
+    return flat.reshape(*lead, c, d).transpose(0, 1, 3, 2, 4)
 
 
 def _typed_block(x: np.ndarray, arrays: tuple,
                  counter: FlopCounter | None) -> tuple[np.ndarray, tuple]:
-    """Typed attention aggregate on group layout (S, G, N, n_in)."""
+    """Typed attention aggregate on group layout (S, G, N, n_in).
+
+    The input is flattened once for all four maps (for the UE type it is
+    the axis-swapped tensor, so the flatten is a copy), and the softmax
+    runs in place on the logits.
+    """
     w1, b1, w2, b2, w3, b3, w4, b4 = arrays
     s, g, nmem, n_in = x.shape
     c, d, _ = w1.shape
-    sv = _apply_map(x, w1, b1)
+    x_flat = x.reshape(-1, n_in)
+    lead = (s, g, nmem)
+    sv = _apply_map(x_flat, w1, b1, lead)
     if counter is not None:
         counter.linear(s * g * nmem, n_in, c * d)
     if nmem == 1:
         out5 = sv
         tape = (x, None, None, None, None)
     else:
-        v = _apply_map(x, w2, b2)
-        q = _apply_map(x, w3, b3)
-        k = _apply_map(x, w4, b4)
+        v = _apply_map(x_flat, w2, b2, lead)
+        q = _apply_map(x_flat, w3, b3, lead)
+        k = _apply_map(x_flat, w4, b4, lead)
         if counter is not None:
             counter.linear(s * g * nmem, n_in, c * d)
             counter.linear(s * g * nmem, n_in, c * d)
             counter.linear(s * g * nmem, n_in, c * d)
-        logits = (q @ k.swapaxes(-1, -2)) / math.sqrt(d)
+        attn = q @ k.swapaxes(-1, -2)
+        attn /= math.sqrt(d)
         if counter is not None:
             counter.dot(d, s * g * c * nmem * nmem)
             counter.mul(s * g * c * nmem * nmem)
         idx = np.arange(nmem)
-        logits[..., idx, idx] = _MASK_VALUE
-        mx = logits.max(axis=-1, keepdims=True)
-        ex = np.exp(logits - mx)
-        total = ex.sum(axis=-1, keepdims=True)
-        attn = ex / total
+        attn[..., idx, idx] = _MASK_VALUE
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         if counter is not None:
             counter.add(2 * s * g * c * nmem * nmem)   # max-subtract, sum
             counter.mul(2 * s * g * c * nmem * nmem)   # exp, divide
-        agg = attn @ v
+        out5 = attn @ v
         if counter is not None:
             counter.dot(nmem, s * g * c * nmem * d)
-        out5 = sv + agg
+        out5 += sv
         if counter is not None:
             counter.add(s * g * nmem * c * d)
         tape = (x, q, k, v, attn)
@@ -184,10 +191,10 @@ def _typed_block_bwd(df: np.ndarray, arrays: tuple, tape: tuple
     x, q, k, v, attn = tape
     s, g, nmem, n_in = x.shape
     c, d, _ = w1.shape
+    x_flat = x.reshape(-1, n_in)
 
     def map_bwd(dy5: np.ndarray, w: np.ndarray) -> tuple:
         dy_flat = dy5.transpose(0, 1, 3, 2, 4).reshape(-1, c * d)
-        x_flat = x.reshape(-1, n_in)
         dw = (dy_flat.T @ x_flat).reshape(c, d, n_in)
         db = dy_flat.sum(axis=0).reshape(c, d)
         dx = (dy_flat @ w.reshape(c * d, n_in)).reshape(s, g, nmem, n_in)
@@ -202,9 +209,12 @@ def _typed_block_bwd(df: np.ndarray, arrays: tuple, tape: tuple
             grads[name] = np.zeros_like(ref)
         return dx, grads
     dagg = df5
-    dattn = dagg @ v.swapaxes(-1, -2)
     dv = attn.swapaxes(-1, -2) @ dagg
-    dlog = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    # Softmax backward in place on dattn = dagg @ v':
+    # dlog = (dattn - rowsum(dattn * attn)) * attn / sqrt(d).
+    dlog = dagg @ v.swapaxes(-1, -2)
+    dlog -= (dlog * attn).sum(axis=-1, keepdims=True)
+    dlog *= attn
     dlog /= math.sqrt(d)
     dq = dlog @ k
     dk = dlog.swapaxes(-1, -2) @ q

@@ -150,14 +150,18 @@ def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
         counter.matmul(n, k_ue, n)                     # p_full.T @ p_full
         counter.mul(m_ap * k_ue * k_ue)                # ball blocks
         counter.add(n + n * n + m_ap * k_ue * k_ue)    # diagonal, -P'P, blocks
-        counter.solve_lu(n + 1)
 
     reg = 0.0
     for _ in range(8):
+        # One LU factorisation per solve that runs, a failed one included.
+        if counter is not None:
+            counter.solve_lu(n + 1)
         try:
             if reg:
                 if counter is not None:
                     counter.newton_retries += 1
+                    counter.mul((n + 1) * (n + 1))     # reg * base * eye
+                    counter.add((n + 1) * (n + 1))     # h + ...
                 base = float(np.mean(row_scale.repeat(k_ue))) + 1e-30
                 delta = np.linalg.solve(h + reg * base * np.eye(n + 1), -grad)
             else:

@@ -111,11 +111,6 @@ def init_model(plan: LayerPlan | None = None, seed: int = 0,
     return GnnModel(plan=plan, params=params, norm=norm)
 
 
-def _arrays_to_json(arrays: dict[str, np.ndarray]) -> dict:
-    return {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in arrays.items()}
-
-
 def _arrays_from_json(doc: dict) -> dict[str, np.ndarray]:
     out = {}
     for name, entry in doc.items():
@@ -123,24 +118,50 @@ def _arrays_from_json(doc: dict) -> dict[str, np.ndarray]:
     return out
 
 
+def _write_arrays(fh, encode, arrays: dict[str, np.ndarray]) -> None:
+    """Write {name: {"shape": [...], "data": [...]}} one array at a time."""
+    fh.write("{")
+    for i, (name, arr) in enumerate(arrays.items()):
+        fh.write(f'{"," if i else ""}{encode(name)}:'
+                 f'{{"shape":{encode(list(arr.shape))},"data":')
+        fh.write(encode(arr.ravel().tolist()))
+        fh.write("}")
+    fh.write("}")
+
+
 def save_checkpoint(model: GnnModel, path: str, fingerprint: dict | None = None,
                     extra_arrays: dict[str, np.ndarray] | None = None,
                     extra: dict | None = None) -> None:
-    """Write the model (and optional optimizer tensors) as one JSON document."""
-    doc = {
-        "format_version": 1,
-        "plan": {"sizes": list(model.plan.sizes), "heads": model.plan.heads},
-        "norm": {"in_mean": model.norm.in_mean, "in_std": model.norm.in_std,
-                 "out_mean": model.norm.out_mean, "out_std": model.norm.out_std},
-        "fingerprint": fingerprint if fingerprint is not None else {},
-        "params": _arrays_to_json(model.params),
-    }
+    """Write the model (and optional optimizer tensors) as one JSON document.
+
+    The document is streamed section by section and array by array through
+    the C encoder, so no more than one array's text is held at a time.  The
+    bytes equal `json.dump(doc, fh, separators=(",", ":"))` of the whole
+    document: both encoders write floats with `float.__repr__`.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    sections: list[tuple[str, object]] = [
+        ("format_version", 1),
+        ("plan", {"sizes": list(model.plan.sizes), "heads": model.plan.heads}),
+        ("norm", {"in_mean": model.norm.in_mean, "in_std": model.norm.in_std,
+                  "out_mean": model.norm.out_mean,
+                  "out_std": model.norm.out_std}),
+        ("fingerprint", fingerprint if fingerprint is not None else {}),
+        ("params", model.params),
+    ]
     if extra_arrays:
-        doc["extra_arrays"] = _arrays_to_json(extra_arrays)
+        sections.append(("extra_arrays", extra_arrays))
     if extra:
-        doc["extra"] = extra
+        sections.append(("extra", extra))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write("{")
+        for i, (key, value) in enumerate(sections):
+            fh.write(f'{"," if i else ""}{encode(key)}:')
+            if key in ("params", "extra_arrays"):
+                _write_arrays(fh, encode, value)
+            else:
+                fh.write(encode(value))
+        fh.write("}")
 
 
 def load_checkpoint(path: str) -> tuple[GnnModel, dict]:

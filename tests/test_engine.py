@@ -2,19 +2,25 @@
 
 The batched kernels are validated against the slow per-node reference in
 `reference` and against hand-computed values on tiny configurations, plus a
-frozen-seed golden vector that pins down the exact numerics.
+frozen-seed golden vector that pins down the exact numerics.  The in-place
+attention kernels and the streamed checkpoint writer are held bit for bit to
+the straightforward versions in `oracle`.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cfgnn import engine
 from cfgnn.data import NormStats
-from cfgnn.engine import count_flops, forward, project_powers
-from cfgnn.flops import gnn_forward_flops
+from cfgnn.engine import backward, count_flops, forward, project_powers
+from cfgnn.flops import FlopCounter, gnn_forward_flops
 from cfgnn.graph import build_graph
 from cfgnn.model import LayerPlan, init_model, load_checkpoint, save_checkpoint
+from cfgnn.training import TrainConfig
+import oracle
 from reference import (
     attention_weights,
     forward_reference,
@@ -285,6 +291,109 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
                     extra_arrays={"adam_m.out.w": np.array([[0.125, -7.5e-17]])},
                     extra={"epoch": 3})
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _same(a, b) -> bool:
+    """Same structure, and arrays with the same dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[i], b[i]) for i in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _forward_backward(x, model, dy):
+    counter = FlopCounter()
+    graph = build_graph(*x.shape[1:])
+    y, tape = forward(graph, x, model, counter=counter, want_tape=True)
+    return y, tape, backward(model, tape, dy), counter
+
+
+@pytest.mark.parametrize("s, m, k", [(64, 8, 3), (1, 32, 9), (1, 2, 2),
+                                     (3, 1, 4), (2, 5, 1)])
+def test_in_place_kernels_match_the_oracle_bit_for_bit(monkeypatch, s, m, k):
+    """Forward output, every tape entry, every gradient and the FLOP tally
+    of the in-place typed block equal those of the fresh-temporary one.
+    M = 1 and K = 1 take the single-member branch for one edge type."""
+    model = init_model(seed=m * k, norm=NORM)
+    rng = np.random.default_rng(s * 1000 + m * 10 + k)
+    x = rng.standard_normal((s, m, k))
+    dy = rng.standard_normal((s, m, k))
+    y, tape, grads, counter = _forward_backward(x, model, dy)
+    monkeypatch.setattr(engine, "_typed_block", oracle.typed_block)
+    monkeypatch.setattr(engine, "_typed_block_bwd", oracle.typed_block_bwd)
+    y_ref, tape_ref, grads_ref, counter_ref = _forward_backward(x, model, dy)
+    assert _same(y, y_ref)
+    assert len(tape["layers"]) == 9
+    for t, entry_ref in enumerate(tape_ref["layers"]):
+        for key, val in entry_ref.items():
+            assert _same(tape["layers"][t][key], val), (t, key)
+    assert _same(tape["h_last"], tape_ref["h_last"])
+    assert list(grads) == list(grads_ref)
+    for name in grads_ref:
+        assert _same(grads[name], grads_ref[name]), name
+    assert counter == counter_ref
+
+
+def _checkpoint_cases():
+    """(model, keyword arguments) of each kind of call the program makes,
+    plus the float and section edge cases of the JSON text."""
+    fp = TrainConfig(epochs=3, seed=2).fingerprint()
+    model = init_model(seed=4, norm=NormStats(-30.25, 4.5, -3.75, 2.25))
+    rng = np.random.default_rng(8)
+    moments = {}
+    for name, p in model.params.items():
+        moments[f"adam_m.{name}"] = rng.standard_normal(p.shape) * 1e-3
+        moments[f"adam_v.{name}"] = rng.random(p.shape) * 1e-7
+    extra = {"epoch": 3, "adam_t": 12, "best_val": 0.5079123456789}
+
+    broken = init_model(seed=5, norm=NORM)
+    broken.params["out.w"][0, :3] = [np.nan, np.inf, -np.inf]
+    dump = {"epoch": 2, "batch_bucket": 0, "batch_indices": [4, 0, 7],
+            "loss": repr(float("nan"))}
+
+    edge = init_model(seed=6, norm=NormStats(-0.0, 5e-324, 1e16, 1.0 / 3.0))
+    edge.params["out.b"] = np.array([-0.0])
+    edge.params["layer00.ln_bias"][:4] = [5e-324, 1e-5, 1e16, 1.0 / 3.0]
+    edge_extra = {"epoch": 1, "adam_t": 4, "best_val": -0.0,
+                  "floats": [5e-324, 1e-5, 1e16, 1.0 / 3.0, -0.0]}
+    return {
+        "best": (model, {"fingerprint": fp, "extra": extra}),
+        "epoch": (model, {"fingerprint": fp, "extra_arrays": moments,
+                          "extra": extra}),
+        "diagnostic_dump": (broken, {"fingerprint": fp, "extra": dump}),
+        "no_fingerprint": (model, {"extra": extra}),
+        "empty_fingerprint": (model, {"fingerprint": {}, "extra_arrays": {}}),
+        "best_val_none": (model, {"fingerprint": fp, "extra_arrays": moments,
+                                  "extra": dict(extra, best_val=None)}),
+        "float_edges": (edge, {"fingerprint": fp, "extra_arrays":
+                               {"adam_m.out.b": np.array([[5e-324, -0.0]])},
+                               "extra": edge_extra}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_checkpoint_cases()))
+def test_streamed_checkpoint_has_the_bytes_of_one_json_dump(tmp_path, case):
+    model, kwargs = _checkpoint_cases()[case]
+    save_checkpoint(model, str(tmp_path / "got.json"), **kwargs)
+    oracle.write_checkpoint(model, str(tmp_path / "want.json"), **kwargs)
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def test_checkpoint_writer_holds_one_array_at_a_time(tmp_path):
+    """An epoch checkpoint is ~1.1 MB of text; the writer never holds it."""
+    model, kwargs = _checkpoint_cases()["epoch"]
+    tracemalloc.start()
+    try:
+        save_checkpoint(model, str(tmp_path / "epoch.json"), **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "epoch.json").stat().st_size > 1_000_000
+    assert peak < 500_000
 
 
 def test_count_flops_modes_agree():

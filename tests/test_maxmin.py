@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -252,6 +253,15 @@ def test_benchmark_32x9_instance_golden_and_fault_budget():
     assert got["minflt"] < 30 * got["lu_calls"]
 
 
+@dataclass
+class _LuCounter(FlopCounter):
+    lu_calls: int = 0
+
+    def solve_lu(self, n: int, rhs: int = 1) -> None:
+        super().solve_lu(n, rhs)
+        self.lu_calls += 1
+
+
 def test_a_singular_newton_system_is_counted_as_one_retry(monkeypatch):
     solve = np.linalg.solve
     calls = []
@@ -263,10 +273,12 @@ def test_a_singular_newton_system_is_counted_as_one_retry(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(maxmin.np.linalg, "solve", singular_once)
-    counter = FlopCounter()
+    counter = _LuCounter()
     sol = solve_maxmin(_instance(3, 2, 13), counter=counter)
     assert sol.converged
     assert (counter.newton_retries, counter.newton_fallbacks) == (1, 0)
+    # The failed factorisation and the regularised one are both counted.
+    assert counter.lu_calls == len(calls)
 
 
 def test_a_hopeless_newton_system_falls_back_to_steepest_descent(monkeypatch):
@@ -283,9 +295,10 @@ def test_a_hopeless_newton_system_falls_back_to_steepest_descent(monkeypatch):
     state = maxmin._state(sa, bs, sig, s)
     work = (np.empty((7, 7)), np.empty((6, 6)))
     monkeypatch.setattr(maxmin.np.linalg, "solve", singular)
-    counter = FlopCounter()
+    counter = _LuCounter()
     dsig, ds, grad, slope = maxmin._newton_direction(1.0, sa, bs, sig, s, state,
                                                      counter, work)
     assert (counter.newton_retries, counter.newton_fallbacks) == (7, 1)
+    assert counter.lu_calls == 8
     assert slope == -np.sqrt(grad @ grad)
     np.testing.assert_allclose(np.append(dsig.ravel(), ds), grad / slope)
