@@ -23,6 +23,19 @@ def _pin_blas() -> None:
         os.environ.setdefault(var, "1")
 
 
+def _parse_size(text: str) -> tuple[int, int]:
+    """Parse "8x3" into (num_aps, num_ues), both at least 1."""
+    text = text.strip()
+    try:
+        m_str, k_str = text.lower().split("x")
+        num_aps, num_ues = int(m_str), int(k_str)
+    except ValueError:
+        raise ValueError(f"malformed size {text!r}, expected <M>x<K>") from None
+    if num_aps < 1 or num_ues < 1:
+        raise ValueError(f"size {text!r} needs positive M and K")
+    return num_aps, num_ues
+
+
 def parse_scenarios(text: str) -> list[tuple[int, int, str]]:
     """Parse "8x3:urban,32x9:suburban" into (num_aps, num_ues, morphology)."""
     out = []
@@ -30,14 +43,10 @@ def parse_scenarios(text: str) -> list[tuple[int, int, str]]:
         part = part.strip()
         try:
             shape, morphology = part.split(":")
-            m_str, k_str = shape.lower().split("x")
-            num_aps, num_ues = int(m_str), int(k_str)
         except ValueError:
             raise ValueError(f"malformed scenario {part!r}, "
                              "expected <M>x<K>:<morphology>") from None
-        if num_aps < 1 or num_ues < 1:
-            raise ValueError(f"scenario {part!r} needs positive M and K")
-        out.append((num_aps, num_ues, morphology))
+        out.append((*_parse_size(shape), morphology))
     return out
 
 
@@ -48,6 +57,8 @@ def _require_file(parser: argparse.ArgumentParser, path: str) -> None:
 
 def _cmd_gen_data(args, parser) -> int:
     from .data import generate_unlabeled, write_jsonl
+    if args.count < 1:
+        parser.error("--count must be >= 1")
     try:
         scenarios = [(m, k, morph, args.count)
                      for m, k, morph in parse_scenarios(args.scenarios)]
@@ -135,18 +146,15 @@ def _cmd_eval(args, parser) -> int:
 def _cmd_flops(args, parser) -> int:
     import csv as _csv
     from .engine import count_flops
+    try:
+        grid = [_parse_size(part) for part in args.grid.split(",")]
+    except ValueError as exc:
+        parser.error(f"bad --grid {args.grid!r}: {exc}")
     model = None
     if args.model is not None:
         _require_file(parser, args.model)
         from .model import load_checkpoint
         model, _ = load_checkpoint(args.model)
-    try:
-        grid = []
-        for part in args.grid.split(","):
-            m_str, k_str = part.strip().lower().split("x")
-            grid.append((int(m_str), int(k_str)))
-    except ValueError:
-        parser.error(f"malformed grid {args.grid!r}, expected M1xK1,M2xK2,...")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["num_aps", "num_ues", "flops"])

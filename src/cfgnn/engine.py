@@ -317,9 +317,9 @@ def count_flops(num_aps: int, num_ues: int,
     """FLOPs of one forward pass plus projection at the given size.
 
     Runs the batched kernels on a seeded random input with a counter
-    attached (default model: a fresh seed-0 network).  The closed-form
-    `flops.gnn_forward_flops` agrees within 1%; the only data-dependent
-    term is how many AP rows the projection renormalises.
+    attached (default model: a fresh seed-0 network).  The test suite's
+    closed form in `tests/oracle.py` agrees within 1%; the only
+    data-dependent term is how many AP rows the projection renormalises.
     """
     if model is None:
         model = init_model(seed=0)

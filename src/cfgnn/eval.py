@@ -58,26 +58,29 @@ def scenario_tag(num_aps: int, num_ues: int, morphology: str) -> str:
 def evaluate(model: GnnModel, eval_set: list[Sample]) -> EvalReport:
     """Pooled per-user CDF comparison of the network against the labels.
 
-    Every sample must carry its optimal solution; each uses tau = K pilots.
-    FLOP counts are attached only when the set is a single (M, K) shape;
-    they compare one network inference against one full instrumented
-    bisection solve on a representative instance.
+    The set is one scenario, one (M, K, morphology); a set that mixes
+    scenarios raises ValueError.  Every sample must carry its optimal
+    solution; each uses tau = K pilots.  The FLOP counts compare one
+    network inference against one full instrumented bisection solve on a
+    representative instance of the scenario.
     """
     if not eval_set:
         raise ValueError("empty evaluation set")
     if not all(s.labeled for s in eval_set):
         raise ValueError("evaluation requires labeled samples")
+    scenarios = {(s.num_aps, s.num_ues, s.morphology) for s in eval_set}
+    if len(scenarios) > 1:
+        tags = ", ".join(scenario_tag(*key) for key in sorted(scenarios))
+        raise ValueError(f"evaluation set mixes scenarios: {tags}")
+    (num_aps, num_ues, morphology), = scenarios
 
+    graph = build_graph(num_aps, num_ues)
+    eta_eq = equal_power(num_aps, num_ues)
     se: dict[str, list[float]] = {m: [] for m in METHODS}
-    shapes = {(s.num_aps, s.num_ues) for s in eval_set}
-    morphs = {s.morphology for s in eval_set}
     for sample in eval_set:
-        m, k = sample.num_aps, sample.num_ues
         alpha, rho_d = link(sample.beta)
-        graph = build_graph(m, k)
         x = normalize_input(sample.beta, model.norm)
         eta_gnn = project_powers(forward(graph, x, model), model.norm)
-        eta_eq = equal_power(m, k)
         se["optimal"].extend(
             spectral_efficiency(np.asarray(sample.sinr_opt)).tolist())
         se["gnn"].extend(spectral_efficiency(
@@ -89,17 +92,10 @@ def evaluate(model: GnnModel, eval_set: list[Sample]) -> EvalReport:
     loss_med = _percent_loss(se_sorted["optimal"], se_sorted["gnn"], 50.0)
     loss_95 = _percent_loss(se_sorted["optimal"], se_sorted["gnn"], 5.0)
 
-    if len(shapes) == 1 and len(morphs) == 1:
-        (m, k), = shapes
-        scenario = scenario_tag(m, k, next(iter(morphs)))
-    else:
-        scenario = "mixed"
-    gnn_flops = solver_flops = 0
-    if len(shapes) == 1:
-        (m, k), = shapes
-        morph = next(iter(morphs)) if len(morphs) == 1 else "urban"
-        gnn_flops, solver_flops = flop_comparison(m, k, model, morphology=morph)
-    return EvalReport(scenario=scenario, se_sorted=se_sorted,
+    gnn_flops, solver_flops = flop_comparison(num_aps, num_ues, model,
+                                              morphology=morphology)
+    return EvalReport(scenario=scenario_tag(num_aps, num_ues, morphology),
+                      se_sorted=se_sorted,
                       loss_at_median=loss_med, likely95_loss=loss_95,
                       gnn_flops=gnn_flops, solver_flops=solver_flops)
 

@@ -24,8 +24,8 @@ Maximising the margin rather than merely finding any interior point makes
 the final allocation equalise the user SINRs, which is what the true
 max-min optimum does.
 
-`brute_force_maxmin` provides an independent grid-search oracle for small
-instances, used by the test suite to validate the solver end to end.
+The test suite validates the solver end to end against an independent
+grid-search oracle for small instances, which lives in `tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flops import FlopCounter
-from .sinr import Link, compute_sinr, link
+from .sinr import compute_sinr, link
 
 _LOG_BARRIER_MU = 30.0
 _NEWTON_MAX_STEPS = 60
@@ -282,42 +282,20 @@ def _sinr_scaled(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return num * num / den
 
 
-def upper_bound_sinr(beta: np.ndarray) -> float:
-    """max_k rho_d * (sum_m sqrt(alpha[m, k]))**2, an unreachable target."""
-    return _upper_bound(link(beta))
-
-
-def _upper_bound(lk: Link) -> float:
-    return float(np.max(lk.rho_d * np.sqrt(lk.alpha).sum(axis=0) ** 2))
-
-
 def equal_power(num_aps: int, num_ues: int) -> np.ndarray:
     """Baseline allocation: every AP splits full power evenly over users."""
     return np.full((num_aps, num_ues), 1.0 / num_ues)
-
-
-def feasibility_check(beta: np.ndarray, t: float) -> np.ndarray | None:
-    """Allocation meeting SINR target t for every user, or None if infeasible.
-
-    The decision is rigorous in both directions: a returned eta is rechecked
-    against the exact SINR expression, and None is only reported once the
-    barrier duality gap certifies that no allocation can reach t.
-    """
-    if t <= 0:
-        raise ValueError("target t must be positive")
-    beta = np.asarray(beta, dtype=float)
-    alpha, rho_d = link(beta)
-    feasible, eta, _ = _margin_solve(np.sqrt(rho_d * alpha), rho_d * beta, t)
-    return eta if feasible else None
 
 
 def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
                  ) -> MaxMinSolution:
     """Maximise the worst-user SINR subject to per-AP power budgets.
 
-    The bracket starts at [_T_FLOOR, upper_bound_sinr].  When the floor is
-    not below the upper bound, or is out of reach, half the worst SINR of
-    equal power (always admissible) is the lower bracket instead.
+    The bracket starts at [_T_FLOOR, U], where U = max_k rho_d *
+    (sum_m sqrt(alpha[m, k]))**2 is the interference-free bound that no
+    allocation reaches.  When the floor is not below U, or is out of reach,
+    half the worst SINR of equal power (always admissible) is the lower
+    bracket instead.
     Bisection maintains a feasible incumbent allocation; each feasible probe
     raises the lower bracket to the SINR its allocation actually achieves,
     which typically saves several iterations.  The final allocation comes
@@ -325,12 +303,11 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     to within _SPREAD_REL relative spread.
     """
     beta = np.asarray(beta, dtype=float)
-    lk = link(beta)
-    alpha, rho_d = lk
+    alpha, rho_d = link(beta)
     sa = np.sqrt(rho_d * alpha)
     bs = rho_d * beta
 
-    hi = _upper_bound(lk)
+    hi = float(np.max(rho_d * np.sqrt(alpha).sum(axis=0) ** 2))
     lo = _T_FLOOR
     feasible = False
     if lo < hi:
@@ -395,175 +372,3 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     sinr_exact = compute_sinr(beta, alpha, eta, rho_d)
     return MaxMinSolution(t_star=t_star, eta=eta, sinr=sinr_exact,
                           iterations=iterations, converged=converged)
-
-
-# ---------------------------------------------------------------------------
-# Grid-search oracle
-# ---------------------------------------------------------------------------
-
-def _simplex_grid(k: int, g: int, lo: np.ndarray | None = None,
-                  hi: np.ndarray | None = None) -> np.ndarray:
-    """Integer grid points x in [lo, hi]^k with sum(x) <= g, as an (n, k) array."""
-    lo_arr = np.zeros(k, dtype=np.int64) if lo is None else lo
-    hi_arr = np.full(k, g, dtype=np.int64) if hi is None else hi
-    lo_arr = np.maximum(lo_arr, 0)
-    hi_arr = np.minimum(hi_arr, g)
-
-    def rec(idx: int, budget: int) -> np.ndarray:
-        remaining_min = int(lo_arr[idx + 1:].sum())
-        top = min(int(hi_arr[idx]), budget - remaining_min)
-        bottom = int(lo_arr[idx])
-        if top < bottom:
-            return np.empty((0, k - idx), dtype=np.int64)
-        if idx == k - 1:
-            vals = np.arange(bottom, top + 1, dtype=np.int64)
-            return vals[:, None]
-        parts = []
-        for val in range(bottom, top + 1):
-            rest = rec(idx + 1, budget - val)
-            if rest.shape[0]:
-                col = np.full((rest.shape[0], 1), val, dtype=np.int64)
-                parts.append(np.concatenate([col, rest], axis=1))
-        if not parts:
-            return np.empty((0, k - idx), dtype=np.int64)
-        return np.concatenate(parts, axis=0)
-
-    return rec(0, g)
-
-
-def _grid_search(beta: np.ndarray, lk: Link, row_cands: list[np.ndarray],
-                 step: float, top: int = 1, chunk: int = 1 << 19
-                 ) -> list[tuple[float, list[int]]]:
-    """Maximise min-SINR over the cartesian product of per-row candidate grids.
-
-    Rows are merged into two groups whose partial sums are materialised, then
-    the cross product is scanned in chunks.  Returns the `top` best
-    (value, per-row candidate indices) pairs in descending order.
-    """
-    m_ap, k_ue = beta.shape
-    alpha, rho_d = lk
-    counts = [c.shape[0] for c in row_cands]
-
-    def merge(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        gain = np.zeros((1, k_ue))
-        intf = np.zeros((1, k_ue))
-        for m in rows:
-            eta_rows = row_cands[m] * step
-            g_m = np.sqrt(alpha[m][None, :] * eta_rows)
-            i_m = beta[m][None, :] * eta_rows.sum(axis=1, keepdims=True)
-            gain = (gain[:, None, :] + g_m[None, :, :]).reshape(-1, k_ue)
-            intf = (intf[:, None, :] + i_m[None, :, :]).reshape(-1, k_ue)
-        return gain, intf
-
-    best_split, best_cost = m_ap, float("inf")
-    for split in range(1, m_ap + 1):
-        a = int(np.prod(counts[:split], dtype=np.int64)) if split else 1
-        b = int(np.prod(counts[split:], dtype=np.int64)) if split < m_ap else 1
-        if max(a, b) * k_ue * 8 >= 2e8:
-            continue
-        cost = a + b
-        if cost < best_cost:
-            best_split, best_cost = split, cost
-    gain_a, intf_a = merge(list(range(best_split)))
-    if best_split < m_ap:
-        gain_b, intf_b = merge(list(range(best_split, m_ap)))
-    else:
-        gain_b = np.zeros((1, k_ue))
-        intf_b = np.zeros((1, k_ue))
-    sizes_a = counts[:best_split]
-    sizes_b = counts[best_split:]
-
-    leaders: list[tuple[float, int]] = []  # (value, flat index over a*b)
-    n_a, n_b = gain_a.shape[0], gain_b.shape[0]
-    rows_per_chunk = max(1, chunk // n_b)
-    for start in range(0, n_a, rows_per_chunk):
-        ga = gain_a[start:start + rows_per_chunk]
-        ia = intf_a[start:start + rows_per_chunk]
-        gain = ga[:, None, :] + gain_b[None, :, :]
-        intf = ia[:, None, :] + intf_b[None, :, :]
-        sinr = rho_d * gain * gain / (1.0 + rho_d * intf)
-        worst = sinr.min(axis=2).ravel()
-        take = min(top, worst.size)
-        part = np.argpartition(worst, worst.size - take)[worst.size - take:]
-        for flat in part:
-            leaders.append((float(worst[flat]), start * n_b + int(flat)))
-        leaders.sort(key=lambda pair: -pair[0])
-        del leaders[top:]
-
-    def unflatten(flat: int, sizes: list[int]) -> list[int]:
-        out = []
-        for size in reversed(sizes):
-            out.append(flat % size)
-            flat //= size
-        return list(reversed(out))
-
-    results = []
-    for val, flat in leaders:
-        fa, fb = divmod(flat, n_b)
-        results.append((val, unflatten(fa, sizes_a) + unflatten(fb, sizes_b)))
-    return results
-
-
-def brute_force_maxmin(beta: np.ndarray, grid_step: float = 0.01,
-                       budget: int = 40_000_000,
-                       refine_top: int = 8) -> MaxMinSolution:
-    """Exhaustive grid-search oracle for small instances (M * K <= 6).
-
-    Every row of eta ranges over the grid {0, grid_step, ..., 1}^K filtered
-    to row sums at most 1.  When the full cartesian product fits within
-    `budget` evaluations it is enumerated exactly.  Otherwise a coarse pass
-    (5x the step) is followed by exhaustive fine passes restricted to a one
-    coarse-cell window around each of the `refine_top` best coarse points;
-    the worst-user SINR is quasiconcave over the feasible set in the
-    square-root variables, which makes the coarse-to-fine scheme reliable,
-    and the solver tests cross-check it.
-    """
-    beta = np.asarray(beta, dtype=float)
-    m_ap, k_ue = beta.shape
-    if m_ap * k_ue > 6:
-        raise ValueError("brute force oracle is limited to M * K <= 6")
-    lk = link(beta)
-    alpha, rho_d = lk
-    g = round(1.0 / grid_step)
-    if abs(g * grid_step - 1.0) > 1e-9:
-        raise ValueError(f"grid_step {grid_step} must divide 1 exactly")
-
-    fine = _simplex_grid(k_ue, g)
-    total = fine.shape[0] ** m_ap
-    if total <= budget:
-        cands = [fine] * m_ap
-        (val, idx), = _grid_search(beta, lk, cands, grid_step, top=1)
-        eta = np.stack([cands[m][idx[m]] * grid_step for m in range(m_ap)])
-        sinr = compute_sinr(beta, alpha, eta, rho_d)
-        return MaxMinSolution(t_star=val, eta=eta, sinr=sinr,
-                              iterations=total, converged=True)
-
-    coarse_factor = 5
-    while (_simplex_grid(k_ue, g // coarse_factor).shape[0] ** m_ap) > budget:
-        coarse_factor *= 2
-        if g // coarse_factor < 1:
-            raise ValueError("instance too large for the grid oracle budget")
-    gc = g // coarse_factor
-    window = g // gc
-    coarse = _simplex_grid(k_ue, gc)
-    cands_c = [coarse] * m_ap
-    leaders = _grid_search(beta, lk, cands_c, 1.0 / gc, top=refine_top)
-
-    best_val = leaders[0][0]
-    best_eta = np.stack([coarse[leaders[0][1][m]] / gc for m in range(m_ap)])
-    evals = coarse.shape[0] ** m_ap
-    for _, idx_c in leaders:
-        cands_f = []
-        for m in range(m_ap):
-            centre = coarse[idx_c[m]] * window
-            cands_f.append(_simplex_grid(k_ue, g, lo=centre - window,
-                                         hi=centre + window))
-        evals += int(np.prod([c.shape[0] for c in cands_f], dtype=np.int64))
-        (val, idx), = _grid_search(beta, lk, cands_f, grid_step, top=1)
-        if val > best_val:
-            best_val = val
-            best_eta = np.stack([cands_f[m][idx[m]] * grid_step
-                                 for m in range(m_ap)])
-    sinr = compute_sinr(beta, alpha, best_eta, rho_d)
-    return MaxMinSolution(t_star=best_val, eta=best_eta, sinr=sinr,
-                          iterations=evals, converged=True)

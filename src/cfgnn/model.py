@@ -111,10 +111,13 @@ def init_model(plan: LayerPlan | None = None, seed: int = 0,
     return GnnModel(plan=plan, params=params, norm=norm)
 
 
-def _arrays_from_json(doc: dict) -> dict[str, np.ndarray]:
+def _arrays_from_json(section: str, doc: dict) -> dict[str, np.ndarray]:
     out = {}
     for name, entry in doc.items():
-        out[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{section} tensor {name} holds non-finite values")
+        out[name] = arr
     return out
 
 
@@ -166,13 +169,31 @@ def save_checkpoint(model: GnnModel, path: str, fingerprint: dict | None = None,
 
 def load_checkpoint(path: str) -> tuple[GnnModel, dict]:
     """Read a checkpoint; returns the model and a dict with the remaining
-    sections (fingerprint, extra, extra_arrays)."""
+    sections (fingerprint, extra, extra_arrays).
+
+    A file that is not a whole, finite checkpoint raises ValueError naming
+    the path: text that does not decode, a missing section or field, a
+    parameter name or shape mismatch, or a NaN or infinite entry in params
+    or extra_arrays.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
+    try:
+        return _checkpoint_from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _checkpoint_from_doc(doc: dict) -> tuple[GnnModel, dict]:
     plan = LayerPlan(sizes=tuple(doc["plan"]["sizes"]),
                      heads=int(doc["plan"]["heads"]))
     norm = NormStats(**doc["norm"])
-    params = _arrays_from_json(doc["params"])
+    params = _arrays_from_json("params", doc["params"])
     expected = param_shapes(plan)
     if set(params) != set(expected):
         missing = set(expected) ^ set(params)
@@ -185,5 +206,6 @@ def load_checkpoint(path: str) -> tuple[GnnModel, dict]:
     rest = {"fingerprint": doc.get("fingerprint", {}),
             "extra": doc.get("extra", {})}
     if "extra_arrays" in doc:
-        rest["extra_arrays"] = _arrays_from_json(doc["extra_arrays"])
+        rest["extra_arrays"] = _arrays_from_json("extra_arrays",
+                                                 doc["extra_arrays"])
     return GnnModel(plan=plan, params=ordered, norm=norm), rest

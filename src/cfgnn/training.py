@@ -231,13 +231,17 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
     if resume_from is not None:
         model, rest = load_checkpoint(resume_from)
         stats = model.norm
-        opt = AdamState(m={}, v={}, t=int(rest["extra"]["adam_t"]))
-        arrays = rest["extra_arrays"]
-        for name in model.params:
-            opt.m[name] = arrays[f"adam_m.{name}"]
-            opt.v[name] = arrays[f"adam_v.{name}"]
-        start_epoch = int(rest["extra"]["epoch"])
-        saved_best = rest["extra"]["best_val"]
+        try:
+            opt = AdamState(m={}, v={}, t=int(rest["extra"]["adam_t"]))
+            arrays = rest["extra_arrays"]
+            for name in model.params:
+                opt.m[name] = arrays[f"adam_m.{name}"]
+                opt.v[name] = arrays[f"adam_v.{name}"]
+            start_epoch = int(rest["extra"]["epoch"])
+            saved_best = rest["extra"]["best_val"]
+        except KeyError as exc:
+            raise ValueError(f"{resume_from}: not an epoch checkpoint, "
+                             f"it lacks {exc}") from None
         best_val = math.inf if saved_best is None else float(saved_best)
     else:
         stats = compute_norm_stats(train_set)

@@ -28,10 +28,11 @@ from cfgnn.data import (
 from cfgnn.engine import count_flops, forward, project_powers
 from cfgnn.eval import evaluate, flop_comparison
 from cfgnn.graph import build_graph
-from cfgnn.maxmin import brute_force_maxmin, solve_maxmin
+from cfgnn.maxmin import solve_maxmin
 from cfgnn.model import init_model, load_checkpoint
 from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible
 from cfgnn.training import TrainConfig, loss_and_grads, split_train_val, train
+from oracle import brute_force_maxmin
 
 RADIO = RadioDefaults()
 

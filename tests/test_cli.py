@@ -49,6 +49,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    for scenarios, count in (("0x3:urban", "1"), ("3x2:urban", "-1")):
+        out = tmp_path / f"gen_{scenarios[0]}_{count}.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--scenarios", scenarios, "--count", count,
+                  "--out", str(out), "--seed", "1"])
+        assert exc.value.code == 2, (scenarios, count)
+        assert not out.exists(), (scenarios, count)
     capsys.readouterr()
 
 
@@ -112,6 +119,14 @@ def test_flops_csv(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["flops", "--grid", "2x", "--out", str(out)])
     assert exc.value.code == 2
+    # A size the engine cannot run is a usage error found before any row is
+    # written, not a runtime error after a partial CSV.
+    for grid in ("8x3,0x3", "0x3", "8x3,3x-1"):
+        partial = tmp_path / "partial.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["flops", "--grid", grid, "--out", str(partial)])
+        assert exc.value.code == 2, grid
+        assert not partial.exists(), grid
 
 
 def test_train_unlabeled_data_is_runtime_error(tmp_path, capsys):
@@ -158,3 +173,64 @@ def test_malformed_dataset_exits_one_with_line_number(tmp_path, capsys):
         assert main(["--threads", "1", *argv]) == 1, argv
         assert f"{bad}:2: beta entries must be positive" in \
             capsys.readouterr().err, argv
+
+
+def test_broken_checkpoint_exits_one_naming_the_file(tmp_path, capsys):
+    """A checkpoint that does not decode, lacks a section, has a wrong
+    shape or holds a NaN fails on load with its path, through `eval` and
+    `train --resume-from` alike."""
+    raw, labeled = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
+    main(["gen-data", "--scenarios", "2x2:urban", "--count", "8",
+          "--out", str(raw), "--seed", "2"])
+    assert main(["--threads", "1", "solve", "--in", str(raw),
+                 "--out", str(labeled)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "batch_size": 4}))
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(labeled), "--config", str(cfg),
+                 "--out", str(run)]) == 0
+    text = (run / "checkpoints/epoch_001.json").read_text()
+
+    def edited(keys, value):
+        """The checkpoint text with doc[k0][k1]... set to value, or the
+        entry deleted when value is None; json writes NaN as a bare NaN."""
+        top = doc = json.loads(text)
+        *parents, leaf = keys
+        for key in parents:
+            doc = doc[key]
+        if value is None:
+            del doc[leaf]
+        else:
+            doc[leaf] = value
+        return json.dumps(top)
+
+    cases = [
+        ("truncated", text[:1000], "not a JSON checkpoint"),
+        ("nan_weight", edited(("params", "out.w", "data", 0), float("nan")),
+         "params tensor out.w holds non-finite values"),
+        ("inf_moment", edited(("extra_arrays", "adam_v.out.b", "data", 0),
+                              float("inf")),
+         "extra_arrays tensor adam_v.out.b holds non-finite values"),
+        ("no_params", edited(("params",), None), "checkpoint lacks 'params'"),
+        ("no_norm", edited(("norm",), None), "checkpoint lacks 'norm'"),
+        ("wrong_shape", edited(("params", "out.w", "shape"), [8, 1]),
+         "checkpoint shape mismatch for out.w"),
+    ]
+    capsys.readouterr()
+    for name, body, message in cases:
+        path = tmp_path / f"{name}.json"
+        path.write_text(body)
+        for argv in (["eval", "--model", str(path), "--data", str(labeled),
+                      "--report-dir", str(tmp_path / "rep")],
+                     ["train", "--data", str(labeled), "--config", str(cfg),
+                      "--out", str(tmp_path / "resumed"),
+                      "--resume-from", str(path)]):
+            assert main(argv) == 1, (name, argv[0])
+            assert f"error: {path}: {message}" in capsys.readouterr().err, \
+                (name, argv[0])
+    # best.json carries no optimizer state, so it cannot be resumed from.
+    assert main(["train", "--data", str(labeled), "--config", str(cfg),
+                 "--out", str(tmp_path / "resumed"),
+                 "--resume-from", str(run / "best.json")]) == 1
+    assert f"error: {run / 'best.json'}: not an epoch checkpoint" in \
+        capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Pooled spectral-efficiency CDFs, percentile losses, and CSV artifacts."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ def test_evaluate_rejects_empty_and_unlabeled(tiny_run, labeled_4x2):
                 for s in labeled_4x2[:2]]
     with pytest.raises(ValueError):
         evaluate(tiny_run["model"], stripped)
+
+
+def test_evaluate_rejects_a_set_that_mixes_scenarios(tiny_run, labeled_4x2,
+                                                     labeled_8x3):
+    """One report is one scenario: two shapes, or one shape under two
+    morphologies, is an error, not a pooled report."""
+    rural = dataclasses.replace(labeled_4x2[1], morphology="rural")
+    for mixed, tags in ((labeled_4x2[:2] + labeled_8x3[:1],
+                         "4x2:urban, 8x3:urban"),
+                        ([labeled_4x2[0], rural], "4x2:rural, 4x2:urban")):
+        with pytest.raises(ValueError, match=f"mixes scenarios: {tags}"):
+            evaluate(tiny_run["model"], mixed)
 
 
 def test_cdf_pooling_is_permutation_invariant(tiny_run, labeled_4x2):

@@ -14,16 +14,14 @@ from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
 from cfgnn.cli import _BLAS_VARS
 from cfgnn.data import generate_unlabeled
 from cfgnn.flops import FlopCounter
-from cfgnn.maxmin import (
-    SolverError,
+from cfgnn.maxmin import SolverError, equal_power, solve_maxmin
+from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible, link
+from oracle import (
     brute_force_maxmin,
-    equal_power,
+    dense_newton_system,
     feasibility_check,
-    solve_maxmin,
     upper_bound_sinr,
 )
-from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible, link
-from oracle import dense_newton_system
 
 RHO_D, RHO_U = RadioDefaults.rho_d(), RadioDefaults.rho_u()
 
