@@ -22,11 +22,13 @@ from dataclasses import dataclass
 @dataclass
 class FlopCounter:
     """Mutable tally of multiplies and adds, plus the solver's silent Newton
-    events: regularised retries of a singular or non-descent system, and
+    events: structured steps that failed and went to the dense step,
+    regularised retries of a singular or non-descent dense system, and
     steepest-descent fallbacks once every retry failed."""
 
     multiplies: int = 0
     adds: int = 0
+    newton_dense_fallbacks: int = 0
     newton_retries: int = 0
     newton_fallbacks: int = 0
 

@@ -1,11 +1,13 @@
 """Straightforward references that the optimised program is held to bit for bit.
 
 * `dense_newton_system`: the solver's barrier Newton system, the oracle for
-  `maxmin._newton_direction`.  The solver assembles the (MK+1)^2 Hessian in
-  place in a workspace it reuses across Newton systems.  This builds the
-  same system the obvious way, from fresh arrays: zeros, then the per-entry
-  diagonal, then += V'V, then -= P'P, then one ball block per AP in a
-  Python loop.  Float addition commutes, so each entry receives the same
+  both of its Newton steps.  The dense step (`maxmin._dense_direction`)
+  assembles the (MK+1)^2 Hessian in place in a workspace it reuses across
+  Newton systems and is held to this bit for bit; the structured step
+  taken above `maxmin._DENSE_MAX_N` unknowns is held to its residual.
+  This builds the same system the obvious way, from fresh arrays: zeros,
+  then the per-entry diagonal, then += V'V, then -= P'P, then one ball
+  block per AP in a Python loop.  Float addition commutes, so each entry receives the same
   sums and the two must agree bit for bit.
 * `typed_block` / `typed_block_bwd`: the engine's typed attention block,
   forward and backward, with a fresh temporary for every softmax step and

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,25 +182,31 @@ def test_solver_counts_flops_when_instrumented():
     assert counter.total > 10_000
     assert counter.total == counter.multiplies + counter.adds
     assert counter.newton_retries == counter.newton_fallbacks == 0
+    assert counter.newton_dense_fallbacks == 0
 
 
 @pytest.mark.parametrize("m, k, morphology", [(2, 2, "rural"), (8, 3, "urban"),
                                               (16, 5, "rural"), (32, 9, "urban")])
 def test_newton_direction_equals_dense_reference_bit_for_bit(monkeypatch, m, k,
                                                              morphology):
-    """Every Newton system of a whole solve, against solving the dense oracle."""
+    """At every state of a whole solve, the dense step against solving the
+    dense oracle; at and below the size constant that is the step taken."""
     direction = maxmin._newton_direction
     checked = []
 
     def checked_direction(weight, sa, bs, sig, s, state, counter, work):
         got = direction(weight, sa, bs, sig, s, state, counter, work)
         assert np.all(state[4] > 0.0) and np.all(state[1] > 0.0)  # interior
+        terms = maxmin._newton_terms(weight, sa, bs, sig, state, None)
+        dense = maxmin._dense_direction(sig, terms, None, [])
         h, grad = dense_newton_system(weight, sa, bs, sig, s, state)
         delta = np.linalg.solve(h, -grad)
         slope = float(grad @ delta)
         assert slope < 0.0
         want = (delta[:m * k].reshape(m, k), float(delta[m * k]), grad, slope)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(a, b) for a, b in zip(dense, want))
+        if m * k <= maxmin._DENSE_MAX_N:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
         checked.append(1)
         return got
 
@@ -208,8 +215,78 @@ def test_newton_direction_equals_dense_reference_bit_for_bit(monkeypatch, m, k,
     assert len(checked) > 50
 
 
+@pytest.mark.parametrize("m, k, morphology, seed", [(16, 5, "rural", 7),
+                                                    (24, 8, "suburban", 4),
+                                                    (32, 9, "urban", 2017)])
+def test_structured_newton_step_solves_the_dense_system(monkeypatch, m, k,
+                                                        morphology, seed):
+    """Above the size constant every Newton system of a whole solve is
+    solved to a relative residual of 1e-9 against the oracle's H, in a
+    descent direction, and the solve matches the dense path's."""
+    assert m * k > maxmin._DENSE_MAX_N
+    beta = _instance(m, k, seed, morphology)
+    direction = maxmin._newton_direction
+    residuals = []
+
+    def checked_direction(weight, sa, bs, sig, s, state, counter, work):
+        got = direction(weight, sa, bs, sig, s, state, counter, work)
+        h, grad = dense_newton_system(weight, sa, bs, sig, s, state)
+        delta = np.append(got[0].ravel(), got[1])
+        residuals.append(np.linalg.norm(h @ delta + grad) / np.linalg.norm(grad))
+        assert got[3] < 0.0
+        assert got[3] == pytest.approx(float(grad @ delta), rel=1e-12)
+        return got
+
+    monkeypatch.setattr(maxmin, "_newton_direction", checked_direction)
+    counter = FlopCounter()
+    structured = solve_maxmin(beta, counter=counter)
+    monkeypatch.undo()
+    assert len(residuals) > 50 and max(residuals) <= 1e-9
+    assert counter.newton_dense_fallbacks == 0
+
+    monkeypatch.setattr(maxmin, "_DENSE_MAX_N", m * k)
+    dense = solve_maxmin(beta)
+    assert structured.converged and dense.converged
+    assert structured.iterations == dense.iterations
+    assert structured.t_star == pytest.approx(dense.t_star, rel=1e-12)
+
+
+def test_a_failed_structured_step_goes_to_the_dense_step_and_is_counted(monkeypatch):
+    """A singular 2K x 2K capacitance system sends that one Newton system to
+    the dense step; the solve still converges."""
+    solve = np.linalg.solve
+    failed = []
+
+    def singular_once(a, b):
+        if a.shape == (16, 16) and not failed:
+            failed.append(1)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(maxmin.np.linalg, "solve", singular_once)
+    counter = FlopCounter()
+    sol = solve_maxmin(_instance(16, 8, 5), counter=counter)
+    assert failed and sol.converged
+    assert counter.newton_dense_fallbacks == 1
+    assert (counter.newton_retries, counter.newton_fallbacks) == (0, 0)
+
+
+def test_no_dense_hessian_above_the_size_constant():
+    """A 64x16 solve allocates less than one (MK+1)^2 float64 matrix."""
+    beta = _instance(64, 16, 7)
+    tracemalloc.start()
+    try:
+        sol = solve_maxmin(beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < (64 * 16 + 1) ** 2 * 8
+
+
 _GOLDEN_32X9 = """
 import hashlib, json, resource
+from cfgnn import maxmin
 from cfgnn.data import generate_unlabeled
 from cfgnn.flops import FlopCounter
 from cfgnn.maxmin import solve_maxmin
@@ -223,31 +300,48 @@ class Counter(FlopCounter):
 
 solve_maxmin(generate_unlabeled([(8, 3, "urban", 1)], run_seed=1)[0].beta)
 beta = generate_unlabeled([(32, 9, "urban", 1)], run_seed=2017)[0].beta
+systems = []
+direction = maxmin._newton_direction
+
+def counted(*args):
+    systems.append(1)
+    return direction(*args)
+
+maxmin._newton_direction = counted
 counter = Counter()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sol = solve_maxmin(beta, counter=counter)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(json.dumps({"t_star": sol.t_star, "iterations": sol.iterations,
                   "eta_sha256": hashlib.sha256(sol.eta.tobytes()).hexdigest(),
-                  "lu_calls": counter.lu_calls, "minflt": faults}))
+                  "lu_calls": counter.lu_calls, "systems": len(systems),
+                  "dense_fallbacks": counter.newton_dense_fallbacks,
+                  "minflt": faults}))
 """
 
 
 def test_benchmark_32x9_instance_golden_and_fault_budget():
     """The benchmark's label-32x9 instance, solved in a fresh one-BLAS-thread
     process after a warm-up 8x3 solve: golden bits and Newton systems, and a
-    fault budget.  Fresh (MK+1)^2 arrays per Newton system cost about 295
-    minor page faults each under glibc's default mmap threshold; the
-    per-feasibility-test workspace costs about 9."""
+    fault budget.  32x9 is above the size constant, so every system takes
+    the structured step, and the LU calls are its 2K x 2K capacitance
+    solves: one per system plus one per refinement correction.  The dense
+    step gave t_star = 2.186903999942864 in 24 bisection steps and 847
+    systems.
+    Fresh (MK+1)^2 arrays per Newton system cost about 295 minor page
+    faults each under glibc's default mmap threshold; the structured step
+    allocates no array of that size."""
     env = dict(os.environ, **{var: "1" for var in _BLAS_VARS})
     result = subprocess.run([sys.executable, "-c", _GOLDEN_32X9], env=env,
                             capture_output=True, text=True, check=True)
     got = json.loads(result.stdout)
-    assert got["t_star"] == 2.186903999942864
+    assert got["t_star"] == 2.1869039999428663
+    assert got["t_star"] == pytest.approx(2.186903999942864, rel=1e-12)
     assert got["iterations"] == 24
-    assert got["eta_sha256"] == ("641d95a5fb8870b681fc1d2411833f03"
-                                 "bfb09473427c35ffd7f16966089bad00")
-    assert got["lu_calls"] == 847
+    assert got["eta_sha256"] == ("20b9bda7b47b3a041e84d98422cc0093"
+                                 "379275b447fe3de96bb2e772c5f5741d")
+    assert (got["systems"], got["dense_fallbacks"]) == (797, 0)
+    assert got["lu_calls"] == 921
     assert got["minflt"] < 30 * got["lu_calls"]
 
 
