@@ -114,12 +114,13 @@ def _newton_terms(weight: float, sa: np.ndarray, bs: np.ndarray,
                   sig: np.ndarray, state: tuple, counter: FlopCounter | None
                   ) -> tuple:
     """The gradient and the pieces the barrier Hessian is built from:
-    (u, b_inv, row_scale, grad, v_full, p_full).
+    (b_inv, row_scale, grad, v_full, p_full).
 
     On the sigma block, H = V'V + diag(row_scale per entry) - P'P + one ball
     block 4 b_inv[m]^2 sigma_m sigma_m' per AP, where V and P are the first
     n columns of the (K, n+1) v_full and the (K, n) p_full.  The margin's
-    row and column come from v_full alone: its last column is -u.
+    row and column come from v_full alone: its last column is -u, where
+    u = 1 / margins.
     """
     m_ap, k_ue = sig.shape
     n = m_ap * k_ue
@@ -147,7 +148,7 @@ def _newton_terms(weight: float, sa: np.ndarray, bs: np.ndarray,
     if counter is not None:
         counter.mul(6 * n + 4 * k_ue + 2 * m_ap)       # gradient assembly
         counter.mul(3 * k_ue * n + 2 * k_ue)           # p_t, v, p_full scaling
-    return u, b_inv, row_scale, grad, v_full, p_full
+    return b_inv, row_scale, grad, v_full, p_full
 
 
 def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
@@ -198,7 +199,7 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
     """
     m_ap, k_ue = sig.shape
     n = m_ap * k_ue
-    u, b_inv, row_scale, grad, v_full, p_full = terms
+    b_inv, row_scale, grad, v_full, p_full = terms
     ball_w = 4.0 * b_inv * b_inv
     gamma = ball_w / (row_scale + ball_w * r)
     diag = row_scale.repeat(k_ue)
@@ -307,7 +308,7 @@ def _dense_direction(sig: np.ndarray, terms: tuple,
     """
     m_ap, k_ue = sig.shape
     n = m_ap * k_ue
-    u, b_inv, row_scale, grad, v_full, p_full = terms
+    b_inv, row_scale, grad, v_full, p_full = terms
     if not work:
         work += [np.empty((n + 1, n + 1)), np.empty((n, n))]
     h, pp = work
