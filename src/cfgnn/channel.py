@@ -1,8 +1,8 @@
 """Large-scale fading generation for cell-free massive MIMO scenarios.
 
-A scenario places M single-antenna access points and K single-antenna users
-uniformly at random inside a disc.  The large-scale fading coefficient
-between AP m and user k is
+`draw_fading`, the one draw path, places M single-antenna access points and
+K single-antenna users uniformly at random inside a disc.  The large-scale
+fading coefficient between AP m and user k is
 
     beta[m, k] = 10 ** (-(PL(d_mk) + X_mk) / 10)
 
@@ -91,41 +91,6 @@ class RadioDefaults:
         return cls.TX_POWER_UL_MW / cls.noise_power_mw()
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything needed to generate one fading realisation deterministically."""
-
-    num_aps: int
-    num_ues: int
-    morphology: Morphology
-
-    def __post_init__(self) -> None:
-        if self.num_aps < 1:
-            raise ValueError(f"num_aps must be >= 1, got {self.num_aps}")
-        if self.num_ues < 1:
-            raise ValueError(f"num_ues must be >= 1, got {self.num_ues}")
-
-
-def make_scenario(num_aps: int, num_ues: int,
-                  morphology: str | Morphology) -> ScenarioConfig:
-    """Build a ScenarioConfig from sizes and a morphology name."""
-    if isinstance(morphology, str):
-        if morphology not in MORPHOLOGIES:
-            raise ValueError(f"unknown morphology {morphology!r}; "
-                             f"expected one of {sorted(MORPHOLOGIES)}")
-        morphology = MORPHOLOGIES[morphology]
-    return ScenarioConfig(num_aps=num_aps, num_ues=num_ues,
-                          morphology=morphology)
-
-
-@dataclass(frozen=True)
-class Deployment:
-    """AP and user positions, in metres, relative to the disc centre."""
-
-    ap_positions: np.ndarray  # (M, 2)
-    ue_positions: np.ndarray  # (K, 2)
-
-
 def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """Draw n points uniformly over a disc of the given radius.
 
@@ -137,13 +102,6 @@ def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
-def generate_deployment(cfg: ScenarioConfig, rng: np.random.Generator) -> Deployment:
-    """Place APs then users uniformly over the scenario disc."""
-    aps = _uniform_disc(rng, cfg.num_aps, cfg.morphology.radius_m)
-    ues = _uniform_disc(rng, cfg.num_ues, cfg.morphology.radius_m)
-    return Deployment(ap_positions=aps, ue_positions=ues)
-
-
 def path_loss_db(distance_m: np.ndarray | float, morphology: Morphology) -> np.ndarray | float:
     """Log-distance path loss in dB at the given distance(s) in metres."""
     d = np.asarray(distance_m, dtype=float)
@@ -153,28 +111,34 @@ def path_loss_db(distance_m: np.ndarray | float, morphology: Morphology) -> np.n
     return float(out) if np.isscalar(distance_m) else out
 
 
-def generate_fading(deployment: Deployment, cfg: ScenarioConfig,
-                    rng: np.random.Generator) -> np.ndarray:
+def generate_fading(ap_positions: np.ndarray, ue_positions: np.ndarray,
+                    morphology: Morphology, rng: np.random.Generator) -> np.ndarray:
     """Large-scale fading matrix beta with shape (M, K), linear scale.
 
-    Distances are clamped up to MIN_DISTANCE_M.  Shadow fading draws one
-    normal per (AP, user) pair in row-major order.
+    Positions are (M, 2) and (K, 2) arrays in metres.  Distances are
+    clamped up to MIN_DISTANCE_M.  Shadow fading draws one normal per
+    (AP, user) pair in row-major order.
     """
-    diff = deployment.ap_positions[:, None, :] - deployment.ue_positions[None, :, :]
+    diff = ap_positions[:, None, :] - ue_positions[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     dist = np.maximum(dist, MIN_DISTANCE_M)
-    pl = path_loss_db(dist, cfg.morphology)
-    shadow = rng.standard_normal(dist.shape) * cfg.morphology.shadow_sigma_db
-    beta = 10.0 ** (-(pl + shadow) / 10.0)
-    return beta
+    pl = path_loss_db(dist, morphology)
+    shadow = rng.standard_normal(dist.shape) * morphology.shadow_sigma_db
+    return 10.0 ** (-(pl + shadow) / 10.0)
 
 
-def generate_sample_fading(cfg: ScenarioConfig, seed: int, index: int = 0) -> np.ndarray:
-    """Deterministic fading draw for sample `index` of a dataset seeded by `seed`.
-
-    The stream is derived from SeedSequence((seed, index)) so that distinct
-    (seed, index) pairs get independent, reproducible streams.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    deployment = generate_deployment(cfg, rng)
-    return generate_fading(deployment, cfg, rng)
+def draw_fading(num_aps: int, num_ues: int, morphology: str,
+                rng: np.random.Generator) -> np.ndarray:
+    """One fading realisation: APs, then users, uniform over the morphology's
+    disc, then shadow fading, all drawn from `rng` in that order."""
+    if morphology not in MORPHOLOGIES:
+        raise ValueError(f"unknown morphology {morphology!r}; "
+                         f"expected one of {sorted(MORPHOLOGIES)}")
+    if num_aps < 1:
+        raise ValueError(f"num_aps must be >= 1, got {num_aps}")
+    if num_ues < 1:
+        raise ValueError(f"num_ues must be >= 1, got {num_ues}")
+    morph = MORPHOLOGIES[morphology]
+    aps = _uniform_disc(rng, num_aps, morph.radius_m)
+    ues = _uniform_disc(rng, num_ues, morph.radius_m)
+    return generate_fading(aps, ues, morph, rng)

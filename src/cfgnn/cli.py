@@ -38,6 +38,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def parse_scenarios(text: str) -> list[tuple[int, int, str]]:
     """Parse "8x3:urban,32x9:suburban" into (num_aps, num_ues, morphology)."""
+    from .channel import MORPHOLOGIES
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -46,6 +47,9 @@ def parse_scenarios(text: str) -> list[tuple[int, int, str]]:
         except ValueError:
             raise ValueError(f"malformed scenario {part!r}, "
                              "expected <M>x<K>:<morphology>") from None
+        if morphology not in MORPHOLOGIES:
+            raise ValueError(f"unknown morphology {morphology!r} in {part!r}, "
+                             f"expected one of {', '.join(MORPHOLOGIES)}")
         out.append((*_parse_size(shape), morphology))
     return out
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import generate_deployment, generate_fading, make_scenario
+from .channel import draw_fading
 from .maxmin import SolverError, solve_maxmin
 from .sinr import compute_alpha, compute_sinr, is_feasible
 
@@ -161,12 +161,10 @@ def generate_unlabeled(scenarios: list[tuple[int, int, str, int]],
     samples = []
     index = 0
     for num_aps, num_ues, morphology, count in scenarios:
-        cfg = make_scenario(num_aps, num_ues, morphology)
         for _ in range(count):
             seed = derive_sample_seed(run_seed, index)
-            rng = np.random.default_rng(seed)
-            deployment = generate_deployment(cfg, rng)
-            beta = generate_fading(deployment, cfg, rng)
+            beta = draw_fading(num_aps, num_ues, morphology,
+                               np.random.default_rng(seed))
             samples.append(Sample(num_aps=num_aps, num_ues=num_ues,
                                   morphology=morphology, seed=seed, beta=beta))
             index += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import make_scenario, generate_sample_fading
+from .channel import draw_fading
 from .data import Sample, normalize_input
 from .engine import count_flops, forward, project_powers
 from .flops import FlopCounter
@@ -105,8 +105,8 @@ def flop_comparison(num_aps: int, num_ues: int, model: GnnModel | None = None,
     """(gnn_flops, solver_flops) for one inference vs one instrumented solve
     of sample 0 of a seed-0 draw."""
     gnn = count_flops(num_aps, num_ues, model)
-    cfg = make_scenario(num_aps, num_ues, morphology)
-    beta = generate_sample_fading(cfg, 0)
+    beta = draw_fading(num_aps, num_ues, morphology,
+                       np.random.default_rng(np.random.SeedSequence((0, 0))))
     counter = FlopCounter()
     solve_maxmin(beta, counter=counter)
     return gnn, counter.total

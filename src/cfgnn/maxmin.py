@@ -71,7 +71,9 @@ _REFINE_STEPS = 3
 
 @dataclass
 class MaxMinSolution:
-    t_star: float          # exact worst-user SINR of the returned allocation
+    t_star: float          # worst-user SINR of eta as the solver recomputes
+                           # it from its rho-scaled gains; may differ from
+                           # min(sinr) in the last bit
     eta: np.ndarray        # (M, K) power fractions
     sinr: np.ndarray       # (K,) per-user SINRs at eta
     iterations: int        # bisection steps performed

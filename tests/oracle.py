@@ -28,15 +28,24 @@ package:
   instances, which the solver's optimum is held to within grid resolution.
 * `gnn_forward_flops`: the network's forward-pass FLOPs in closed form,
   which the instrumented `engine.count_flops` must match within 1%.
+
+Test helpers:
+
+* `fading_instance`: the fading draw a test names by (seed, index).
+* `subprocess_env`: the environment for a child Python process that must
+  import this checkout's package.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+from cfgnn.channel import draw_fading
 from cfgnn.engine import _MASK_VALUE
 from cfgnn.flops import FlopCounter
 from cfgnn.maxmin import MaxMinSolution, _margin_solve
@@ -197,6 +206,25 @@ def write_checkpoint(model, path: str, fingerprint: dict | None = None,
         doc["extra"] = extra
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, separators=(",", ":"))
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def fading_instance(num_aps: int, num_ues: int, seed: int,
+                    morphology: str = "urban", index: int = 0) -> np.ndarray:
+    """`channel.draw_fading` from the stream SeedSequence((seed, index))."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    return draw_fading(num_aps, num_ues, morphology, rng)
+
+
+def subprocess_env(**overrides: str) -> dict[str, str]:
+    """os.environ plus `overrides`, with the checkout's `src` first on
+    PYTHONPATH, so a child process imports this package without an install."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    return env
 
 
 def feasibility_check(beta: np.ndarray, t: float) -> np.ndarray | None:

@@ -8,7 +8,6 @@ training gate (criterion 8) and the oracle sweep (criterion 1) assert
 their own wall-clock budgets.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
+from cfgnn.channel import RadioDefaults
+from cfgnn.cli import _BLAS_VARS
 from cfgnn.data import (
     NormStats,
     compute_norm_stats,
@@ -32,7 +32,7 @@ from cfgnn.maxmin import solve_maxmin
 from cfgnn.model import init_model, load_checkpoint
 from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible
 from cfgnn.training import TrainConfig, loss_and_grads, split_train_val, train
-from oracle import brute_force_maxmin
+from oracle import brute_force_maxmin, fading_instance, subprocess_env
 
 RADIO = RadioDefaults()
 
@@ -41,11 +41,6 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}"
     print(line, flush=True)
     assert ok, line
-
-
-def _instance(num_aps: int, num_ues: int, seed: int, morphology: str = "urban"):
-    return generate_sample_fading(make_scenario(num_aps, num_ues, morphology),
-                                  seed, 0)
 
 
 def test_criterion_1_solver_matches_grid_oracle():
@@ -61,7 +56,7 @@ def test_criterion_1_solver_matches_grid_oracle():
     cases = [(2, 2, 400 + i) for i in range(20)] + \
             [(3, 2, 500 + i) for i in range(10)]
     for num_aps, num_ues, seed in cases:
-        beta = _instance(num_aps, num_ues, seed)
+        beta = fading_instance(num_aps, num_ues, seed)
         sol = solve_maxmin(beta)
         oracle = brute_force_maxmin(beta, grid_step=step)
         alpha = compute_alpha(beta, RADIO.rho_u(), num_ues)
@@ -87,8 +82,8 @@ def test_criterion_2_solution_equalizes_sinrs():
     for i in range(50):
         num_aps = int(rng.integers(2, 17))
         num_ues = int(rng.integers(2, 7))
-        beta = _instance(num_aps, num_ues, 300 + i,
-                         morphs[int(rng.integers(0, 3))])
+        beta = fading_instance(num_aps, num_ues, 300 + i,
+                               morphs[int(rng.integers(0, 3))])
         sol = solve_maxmin(beta)
         assert sol.converged, (num_aps, num_ues, i)
         alpha = compute_alpha(beta, RADIO.rho_u(), num_ues)
@@ -133,8 +128,8 @@ def test_criterion_4_gradients_match_finite_differences():
     cannot avoid for arbitrary seeds.
     """
     num_aps, num_ues, batch = 4, 3, 2
-    cfg = make_scenario(num_aps, num_ues, "urban")
-    betas = np.stack([generate_sample_fading(cfg, 13, i) for i in range(batch)])
+    betas = np.stack([fading_instance(num_aps, num_ues, 13, index=i)
+                      for i in range(batch)])
     stats = NormStats(in_mean=float(np.log2(betas).mean()),
                       in_std=float(np.log2(betas).std()),
                       out_mean=-3.0, out_std=1.5)
@@ -287,10 +282,7 @@ def test_criterion_9_byte_identical_across_runs_and_threads(tmp_path):
 
     def pipeline(root: Path, threads: str) -> dict[str, bytes]:
         root.mkdir(parents=True)
-        env = dict(os.environ)
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            env[var] = threads
+        env = subprocess_env(**{var: threads for var in _BLAS_VARS})
         raw, lab = root / "raw.jsonl", root / "lab.jsonl"
         run, rep = root / "run", root / "rep"
         cfg = root / "cfg.json"

@@ -9,12 +9,12 @@ cancel through the softmax row shift) show only rounding noise under FD.
 import numpy as np
 import pytest
 
-from cfgnn.channel import make_scenario, generate_sample_fading
 from cfgnn.data import NormStats, normalize_input
 from cfgnn.engine import backward, forward
 from cfgnn.graph import build_graph
 from cfgnn.model import LayerPlan, init_model
 from cfgnn.training import loss_and_grads
+from oracle import fading_instance
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -64,8 +64,7 @@ def test_network_gradients_match_finite_differences():
 def test_full_loss_chain_gradients_match_finite_differences():
     """FD check through denormalization, the SINR map, and the MSE loss."""
     m, k, batch = 3, 2, 2
-    cfg = make_scenario(m, k, "urban")
-    betas = np.stack([generate_sample_fading(cfg, 7, i) for i in range(batch)])
+    betas = np.stack([fading_instance(m, k, 7, index=i) for i in range(batch)])
     stats = NormStats(in_mean=float(np.log2(betas).mean()),
                       in_std=float(np.log2(betas).std()),
                       out_mean=-3.0, out_std=1.5)
@@ -95,8 +94,7 @@ def test_full_loss_chain_gradients_match_finite_differences():
 
 def test_zero_residual_gives_zero_gradients():
     m, k = 3, 2
-    cfg = make_scenario(m, k, "urban")
-    beta = generate_sample_fading(cfg, 11)[None]
+    beta = fading_instance(m, k, 11)[None]
     stats = NormStats(-30.0, 4.0, -3.0, 1.5)
     x = normalize_input(beta[0], stats)[None]
     model = init_model(seed=4, norm=stats)

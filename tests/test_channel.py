@@ -8,15 +8,14 @@ import pytest
 from cfgnn.channel import (
     MIN_DISTANCE_M,
     MORPHOLOGIES,
-    Deployment,
     Morphology,
     RadioDefaults,
-    generate_deployment,
+    _uniform_disc,
+    draw_fading,
     generate_fading,
-    generate_sample_fading,
-    make_scenario,
     path_loss_db,
 )
+from oracle import fading_instance
 
 BOLTZMANN = 1.380649e-23
 
@@ -54,10 +53,8 @@ def test_zero_shadow_zero_intercept_unit_distance_clamps_to_five_metres():
     """Free-space exponent 2, no intercept: beta = d**-2 with d clamped to 5 m."""
     morph = Morphology("flat", radius_m=10.0, pl_exponent=2.0,
                        pl_intercept_db=0.0, shadow_sigma_db=0.0)
-    cfg = make_scenario(1, 1, morph)
-    dep = Deployment(ap_positions=np.array([[0.0, 0.0]]),
-                     ue_positions=np.array([[1.0, 0.0]]))
-    beta = generate_fading(dep, cfg, np.random.default_rng(0))
+    beta = generate_fading(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                           morph, np.random.default_rng(0))
     assert MIN_DISTANCE_M == 5.0
     assert beta[0, 0] == pytest.approx(5.0 ** -2)
 
@@ -65,56 +62,46 @@ def test_zero_shadow_zero_intercept_unit_distance_clamps_to_five_metres():
 def test_beta_decreases_with_distance_without_shadowing():
     morph = Morphology("flat", radius_m=100.0, pl_exponent=3.0,
                        pl_intercept_db=20.0, shadow_sigma_db=0.0)
-    cfg = make_scenario(1, 4, morph)
-    dep = Deployment(ap_positions=np.array([[0.0, 0.0]]),
-                     ue_positions=np.array([[5.0, 0.0], [10.0, 0.0],
-                                            [20.0, 0.0], [90.0, 0.0]]))
-    beta = generate_fading(dep, cfg, np.random.default_rng(0))[0]
+    ues = np.array([[5.0, 0.0], [10.0, 0.0], [20.0, 0.0], [90.0, 0.0]])
+    beta = generate_fading(np.array([[0.0, 0.0]]), ues, morph,
+                           np.random.default_rng(0))[0]
     assert np.all(np.diff(beta) < 0)
 
 
 def test_shadow_fading_empirical_mean():
     """10*log10(beta) + PL averages to 0 dB within 0.1 dB over 1e5 draws."""
     morph = MORPHOLOGIES["urban"]
-    cfg = make_scenario(1, 1, morph)
-    rng = np.random.default_rng(123)
-    dep = Deployment(ap_positions=np.array([[0.0, 0.0]]),
-                     ue_positions=np.array([[100.0, 0.0]]))
-    pl = path_loss_db(100.0, morph)
-    draws = np.empty(100_000)
-    shadow = rng.standard_normal(draws.shape[0]) * morph.shadow_sigma_db
-    betas = 10.0 ** (-(pl + shadow) / 10.0)
-    residual = 10.0 * np.log10(betas) + pl
+    ues = np.tile([100.0, 0.0], (100_000, 1))
+    betas = generate_fading(np.array([[0.0, 0.0]]), ues, morph,
+                            np.random.default_rng(123))[0]
+    residual = 10.0 * np.log10(betas) + path_loss_db(100.0, morph)
     assert abs(residual.mean()) < 0.1
     assert residual.std() == pytest.approx(morph.shadow_sigma_db, rel=0.02)
 
 
 def test_deployment_positions_inside_disc():
-    cfg = make_scenario(40, 25, "rural")
+    radius = MORPHOLOGIES["rural"].radius_m
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        dep = generate_deployment(cfg, rng)
-        assert np.all(np.linalg.norm(dep.ap_positions, axis=1) <= cfg.morphology.radius_m)
-        assert np.all(np.linalg.norm(dep.ue_positions, axis=1) <= cfg.morphology.radius_m)
+    for n in (40, 25) * 5:
+        points = _uniform_disc(rng, n, radius)
+        assert points.shape == (n, 2)
+        assert np.all(np.linalg.norm(points, axis=1) <= radius)
 
 
 def test_fading_deterministic_and_positive():
-    cfg = make_scenario(6, 4, "suburban")
-    a = generate_sample_fading(cfg, seed=99, index=3)
-    b = generate_sample_fading(cfg, seed=99, index=3)
+    a = fading_instance(6, 4, 99, "suburban", index=3)
+    b = fading_instance(6, 4, 99, "suburban", index=3)
     np.testing.assert_array_equal(a, b)
     assert np.all(a > 0)
-    c = generate_sample_fading(cfg, seed=99, index=4)
+    c = fading_instance(6, 4, 99, "suburban", index=4)
     assert not np.array_equal(a, c)
 
 
 def test_min_distance_clamps_path_loss():
     morph = Morphology("flat", radius_m=100.0, pl_exponent=3.0,
                        pl_intercept_db=20.0, shadow_sigma_db=0.0)
-    cfg = make_scenario(1, 1, morph)
-    dep = Deployment(ap_positions=np.array([[0.0, 0.0]]),
-                     ue_positions=np.array([[0.0, 0.0]]))
-    beta = generate_fading(dep, cfg, np.random.default_rng(0))
+    beta = generate_fading(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]),
+                           morph, np.random.default_rng(0))
     expected = 10.0 ** (-path_loss_db(5.0, morph) / 10.0)
     assert beta[0, 0] == pytest.approx(expected)
 
@@ -127,11 +114,16 @@ def test_radio_defaults_noise_and_power_ratios():
     assert radio.rho_d() / radio.rho_u() == pytest.approx(2.0)
 
 
-def test_make_scenario_defaults_and_validation():
-    cfg = make_scenario(8, 3, "urban")
-    assert (cfg.num_aps, cfg.num_ues) == (8, 3)
-    assert cfg.morphology.name == "urban"
-    with pytest.raises(ValueError):
-        make_scenario(8, 3, "desert")
-    with pytest.raises(ValueError):
-        make_scenario(0, 3, "urban")
+def test_draw_fading_order_and_validation():
+    """APs, then users, then shadow fading, all from the one stream."""
+    morph = MORPHOLOGIES["urban"]
+    rng = np.random.default_rng(5)
+    aps = _uniform_disc(rng, 8, morph.radius_m)
+    ues = _uniform_disc(rng, 3, morph.radius_m)
+    want = generate_fading(aps, ues, morph, rng)
+    got = draw_fading(8, 3, "urban", np.random.default_rng(5))
+    assert got.shape == (8, 3)
+    np.testing.assert_array_equal(got, want)
+    for args in ((8, 3, "desert"), (0, 3, "urban"), (8, 0, "urban")):
+        with pytest.raises(ValueError):
+            draw_fading(*args, np.random.default_rng(0))

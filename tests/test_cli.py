@@ -12,7 +12,8 @@ def test_parse_scenarios_grammar():
     assert parse_scenarios("8x3:urban") == [(8, 3, "urban")]
     assert parse_scenarios("8x3:urban,32x9:suburban") == [
         (8, 3, "urban"), (32, 9, "suburban")]
-    for bad in ("8x3", "8:urban", "axb:urban", "0x3:urban", "8x3:urban;4x2:rural"):
+    for bad in ("8x3", "8:urban", "axb:urban", "0x3:urban", "8x3:urban;4x2:rural",
+                "8x3:desert"):
         with pytest.raises(ValueError):
             parse_scenarios(bad)
 
@@ -49,7 +50,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    for scenarios, count in (("0x3:urban", "1"), ("3x2:urban", "-1")):
+    for scenarios, count in (("0x3:urban", "1"), ("3x2:urban", "-1"),
+                             ("8x3:desert", "1")):
         out = tmp_path / f"gen_{scenarios[0]}_{count}.jsonl"
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--scenarios", scenarios, "--count", count,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfgnn.channel import RadioDefaults
+from cfgnn.channel import RadioDefaults, draw_fading
 from cfgnn.data import (
     NormStats,
     Sample,
@@ -31,6 +31,10 @@ def test_generate_unlabeled_counts_and_determinism():
     assert [(s.num_aps, s.num_ues, s.morphology) for s in a[:4]] == [(3, 2, "urban")] * 4
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.beta, y.beta)
+    for row in a:
+        again = draw_fading(row.num_aps, row.num_ues, row.morphology,
+                            np.random.default_rng(row.seed))
+        np.testing.assert_array_equal(again, row.beta)
     c = generate_unlabeled(specs, run_seed=6)
     assert not np.array_equal(a[0].beta, c[0].beta)
 

@@ -1,7 +1,6 @@
 """Bisection solver against closed forms, the grid oracle, and baselines."""
 
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from cfgnn import maxmin
-from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
+from cfgnn.channel import RadioDefaults
 from cfgnn.cli import _BLAS_VARS
 from cfgnn.data import generate_unlabeled
 from cfgnn.flops import FlopCounter
@@ -20,19 +19,17 @@ from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible, link
 from oracle import (
     brute_force_maxmin,
     dense_newton_system,
+    fading_instance,
     feasibility_check,
+    subprocess_env,
     upper_bound_sinr,
 )
 
 RHO_D, RHO_U = RadioDefaults.rho_d(), RadioDefaults.rho_u()
 
 
-def _instance(m, k, seed, morphology="urban"):
-    return generate_sample_fading(make_scenario(m, k, morphology), seed)
-
-
 def test_single_link_closed_form():
-    beta = _instance(1, 1, 4)
+    beta = fading_instance(1, 1, 4)
     alpha = compute_alpha(beta, RHO_U, 1)
     sol = solve_maxmin(beta)
     expected = RHO_D * alpha[0, 0] / (1.0 + RHO_D * beta[0, 0])
@@ -42,7 +39,7 @@ def test_single_link_closed_form():
 
 
 def test_feasibility_boundary_single_link():
-    beta = _instance(1, 1, 8)
+    beta = fading_instance(1, 1, 8)
     alpha = compute_alpha(beta, RHO_U, 1)
     t_opt = RHO_D * alpha[0, 0] / (1.0 + RHO_D * beta[0, 0])
     eta = feasibility_check(beta, t_opt * 0.999)
@@ -52,7 +49,7 @@ def test_feasibility_boundary_single_link():
 
 
 def test_feasibility_vanishing_target():
-    beta = _instance(3, 2, 12)
+    beta = fading_instance(3, 2, 12)
     alpha = compute_alpha(beta, RHO_U, 2)
     eta = feasibility_check(beta, 1e-9)
     assert eta is not None
@@ -60,14 +57,14 @@ def test_feasibility_vanishing_target():
 
 
 def test_feasibility_rejects_nonpositive_target():
-    beta = _instance(2, 2, 1)
+    beta = fading_instance(2, 2, 1)
     with pytest.raises(ValueError):
         feasibility_check(beta, 0.0)
 
 
 def test_solution_feasible_and_certified():
     for seed in range(4):
-        beta = _instance(6, 3, 100 + seed)
+        beta = fading_instance(6, 3, 100 + seed)
         sol = solve_maxmin(beta)
         assert sol.converged
         assert is_feasible(sol.eta, tol=1e-6)
@@ -79,14 +76,14 @@ def test_solution_feasible_and_certified():
 
 
 def test_sinr_spread_equalized_at_solution():
-    beta = _instance(8, 4, 55)
+    beta = fading_instance(8, 4, 55)
     sol = solve_maxmin(beta)
     spread = float(sol.sinr.max() - sol.sinr.min())
     assert spread <= 1e-3 * sol.t_star
 
 
 def test_column_permutation_equivariance():
-    beta = _instance(4, 3, 9)
+    beta = fading_instance(4, 3, 9)
     sol = solve_maxmin(beta)
     perm = np.array([2, 0, 1])
     sol_p = solve_maxmin(beta[:, perm])
@@ -95,7 +92,7 @@ def test_column_permutation_equivariance():
 
 
 def test_oracle_agreement_small_instance():
-    beta = _instance(2, 2, 31)
+    beta = fading_instance(2, 2, 31)
     sol = solve_maxmin(beta)
     oracle = brute_force_maxmin(beta, grid_step=0.02)
     # grid optimum can exceed t_star only by solver tolerance, and cannot
@@ -109,14 +106,14 @@ def test_oracle_agreement_small_instance():
 
 
 def test_grid_oracle_monotone_under_refinement():
-    beta = _instance(2, 2, 77)
+    beta = fading_instance(2, 2, 77)
     coarse = brute_force_maxmin(beta, grid_step=0.1)
     fine = brute_force_maxmin(beta, grid_step=0.05)
     assert fine.t_star >= coarse.t_star
 
 
 def test_grid_oracle_single_link_full_power():
-    beta = _instance(1, 1, 2)
+    beta = fading_instance(1, 1, 2)
     sol = brute_force_maxmin(beta, grid_step=0.01)
     assert sol.eta[0, 0] == pytest.approx(1.0)
 
@@ -128,7 +125,7 @@ def test_grid_oracle_equalizes_symmetric_users():
 
 
 def test_grid_oracle_size_guard():
-    beta = _instance(4, 2, 3)
+    beta = fading_instance(4, 2, 3)
     with pytest.raises(ValueError):
         brute_force_maxmin(beta)
 
@@ -138,7 +135,7 @@ def test_equal_power_baseline():
     assert ep.shape == (2, 4)
     np.testing.assert_array_equal(ep, np.full((2, 4), 0.25))
     assert is_feasible(ep, tol=0.0)
-    beta = _instance(5, 3, 61)
+    beta = fading_instance(5, 3, 61)
     alpha = compute_alpha(beta, RHO_U, 3)
     sol = solve_maxmin(beta)
     baseline = compute_sinr(beta, alpha, equal_power(5, 3), RHO_D).min()
@@ -176,7 +173,7 @@ def test_underflowing_channel_raises():
 
 
 def test_solver_counts_flops_when_instrumented():
-    beta = _instance(3, 2, 13)
+    beta = fading_instance(3, 2, 13)
     counter = FlopCounter()
     solve_maxmin(beta, counter=counter)
     assert counter.total > 10_000
@@ -211,7 +208,7 @@ def test_newton_direction_equals_dense_reference_bit_for_bit(monkeypatch, m, k,
         return got
 
     monkeypatch.setattr(maxmin, "_newton_direction", checked_direction)
-    solve_maxmin(_instance(m, k, 7, morphology))
+    solve_maxmin(fading_instance(m, k, 7, morphology))
     assert len(checked) > 50
 
 
@@ -224,7 +221,7 @@ def test_structured_newton_step_solves_the_dense_system(monkeypatch, m, k,
     solved to a relative residual of 1e-9 against the oracle's H, in a
     descent direction, and the solve matches the dense path's."""
     assert m * k > maxmin._DENSE_MAX_N
-    beta = _instance(m, k, seed, morphology)
+    beta = fading_instance(m, k, seed, morphology)
     direction = maxmin._newton_direction
     residuals = []
 
@@ -265,7 +262,7 @@ def test_a_failed_structured_step_goes_to_the_dense_step_and_is_counted(monkeypa
 
     monkeypatch.setattr(maxmin.np.linalg, "solve", singular_once)
     counter = FlopCounter()
-    sol = solve_maxmin(_instance(16, 8, 5), counter=counter)
+    sol = solve_maxmin(fading_instance(16, 8, 5), counter=counter)
     assert failed and sol.converged
     assert counter.newton_dense_fallbacks == 1
     assert (counter.newton_retries, counter.newton_fallbacks) == (0, 0)
@@ -273,7 +270,7 @@ def test_a_failed_structured_step_goes_to_the_dense_step_and_is_counted(monkeypa
 
 def test_no_dense_hessian_above_the_size_constant():
     """A 64x16 solve allocates less than one (MK+1)^2 float64 matrix."""
-    beta = _instance(64, 16, 7)
+    beta = fading_instance(64, 16, 7)
     tracemalloc.start()
     try:
         sol = solve_maxmin(beta)
@@ -331,7 +328,7 @@ def test_benchmark_32x9_instance_golden_and_fault_budget():
     Fresh (MK+1)^2 arrays per Newton system cost about 295 minor page
     faults each under glibc's default mmap threshold; the structured step
     allocates no array of that size."""
-    env = dict(os.environ, **{var: "1" for var in _BLAS_VARS})
+    env = subprocess_env(**{var: "1" for var in _BLAS_VARS})
     result = subprocess.run([sys.executable, "-c", _GOLDEN_32X9], env=env,
                             capture_output=True, text=True, check=True)
     got = json.loads(result.stdout)
@@ -366,7 +363,7 @@ def test_a_singular_newton_system_is_counted_as_one_retry(monkeypatch):
 
     monkeypatch.setattr(maxmin.np.linalg, "solve", singular_once)
     counter = _LuCounter()
-    sol = solve_maxmin(_instance(3, 2, 13), counter=counter)
+    sol = solve_maxmin(fading_instance(3, 2, 13), counter=counter)
     assert sol.converged
     assert (counter.newton_retries, counter.newton_fallbacks) == (1, 0)
     # The failed factorisation and the regularised one are both counted.
@@ -378,7 +375,7 @@ def test_a_hopeless_newton_system_falls_back_to_steepest_descent(monkeypatch):
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    beta = _instance(3, 2, 13)
+    beta = fading_instance(3, 2, 13)
     alpha, rho_d = link(beta)
     sa, bs = np.sqrt(rho_d * alpha), rho_d * beta
     sig = np.full((3, 2), 0.5)

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cfgnn.channel import (MORPHOLOGIES, RadioDefaults, generate_sample_fading,
-                           make_scenario)
+from cfgnn.channel import MORPHOLOGIES, RadioDefaults
 from cfgnn.data import NormStats, Sample, sample_from_json, sample_to_json
 from cfgnn.engine import project_powers
 from cfgnn.maxmin import solve_maxmin
 from cfgnn.model import init_model, load_checkpoint, save_checkpoint
 from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible
+from oracle import fading_instance
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 RHO_D, RHO_U = RadioDefaults.rho_d(), RadioDefaults.rho_u()
@@ -28,7 +28,7 @@ def instances(draw):
     k = draw(st.integers(1, 3))
     morphology = draw(st.sampled_from(sorted(MORPHOLOGIES)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return generate_sample_fading(make_scenario(m, k, morphology), seed), k
+    return fading_instance(m, k, seed, morphology), k
 
 
 @settings(PROPERTY, max_examples=40)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfgnn.channel import RadioDefaults, make_scenario, generate_sample_fading
+from cfgnn.channel import RadioDefaults
 from cfgnn.sinr import (
     compute_alpha,
     compute_sinr,
