@@ -125,18 +125,14 @@ def _cmd_eval(args, parser) -> int:
         print("error: empty evaluation set", file=sys.stderr)
         return 1
     groups: dict[tuple[int, int, str], list] = {}
-    order = []
     for sample in samples:
         key = (sample.num_aps, sample.num_ues, sample.morphology)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(sample)
+        groups.setdefault(key, []).append(sample)
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     reports = []
-    for key in order:
-        report = evaluate(model, groups[key])
+    for group in groups.values():
+        report = evaluate(model, group)
         reports.append(report)
         tag = report.scenario.replace(":", "_")
         export_cdf_csv(report, str(report_dir / f"cdf_{tag}.csv"))

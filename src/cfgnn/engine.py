@@ -19,9 +19,10 @@ The test suite holds this batched path to a slow per-node reference of the
 same arithmetic.  The backward pass consumes the tape recorded by
 `forward` and returns exact reverse-mode gradients for every parameter.
 
-All kernels optionally report FLOPs to a counter using the conventions of
+Every kernel reports its FLOPs to a counter using the conventions of
 `flops`: counts reflect what the vectorised code executes, including the
-masked diagonal entries of the attention blocks.
+masked diagonal entries of the attention blocks.  An uncounted call runs
+the same statements against a `flops.NoCounter`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .data import NormStats, denormalize_output
-from .flops import FlopCounter
+from .flops import FlopCounter, counting
 from .graph import HeteroGraph, build_graph
 from .model import GnnModel, init_model, param_shapes
 
@@ -60,7 +61,7 @@ def _apply_map(x_flat: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 def _typed_block(x: np.ndarray, arrays: tuple,
-                 counter: FlopCounter | None) -> tuple[np.ndarray, tuple]:
+                 counter: FlopCounter) -> tuple[np.ndarray, tuple]:
     """Typed attention aggregate on group layout (S, G, N, n_in).
 
     The input is flattened once for all four maps (for the UE type it is
@@ -73,8 +74,7 @@ def _typed_block(x: np.ndarray, arrays: tuple,
     x_flat = x.reshape(-1, n_in)
     lead = (s, g, nmem)
     sv = _apply_map(x_flat, w1, b1, lead)
-    if counter is not None:
-        counter.linear(s * g * nmem, n_in, c * d)
+    counter.linear(s * g * nmem, n_in, c * d)
     if nmem == 1:
         out5 = sv
         tape = (x, None, None, None, None)
@@ -82,36 +82,29 @@ def _typed_block(x: np.ndarray, arrays: tuple,
         v = _apply_map(x_flat, w2, b2, lead)
         q = _apply_map(x_flat, w3, b3, lead)
         k = _apply_map(x_flat, w4, b4, lead)
-        if counter is not None:
-            counter.linear(s * g * nmem, n_in, c * d)
-            counter.linear(s * g * nmem, n_in, c * d)
-            counter.linear(s * g * nmem, n_in, c * d)
+        counter.linear(3 * s * g * nmem, n_in, c * d)
         attn = q @ k.swapaxes(-1, -2)
         attn /= math.sqrt(d)
-        if counter is not None:
-            counter.dot(d, s * g * c * nmem * nmem)
-            counter.mul(s * g * c * nmem * nmem)
+        counter.dot(d, s * g * c * nmem * nmem)
+        counter.mul(s * g * c * nmem * nmem)
         idx = np.arange(nmem)
         attn[..., idx, idx] = _MASK_VALUE
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        if counter is not None:
-            counter.add(2 * s * g * c * nmem * nmem)   # max-subtract, sum
-            counter.mul(2 * s * g * c * nmem * nmem)   # exp, divide
+        counter.add(2 * s * g * c * nmem * nmem)       # max-subtract, sum
+        counter.mul(2 * s * g * c * nmem * nmem)       # exp, divide
         out5 = attn @ v
-        if counter is not None:
-            counter.dot(nmem, s * g * c * nmem * d)
+        counter.dot(nmem, s * g * c * nmem * d)
         out5 += sv
-        if counter is not None:
-            counter.add(s * g * nmem * c * d)
+        counter.add(s * g * nmem * c * d)
         tape = (x, q, k, v, attn)
     out = out5.transpose(0, 1, 3, 2, 4).reshape(s, g, nmem, c * d)
     return out, tape
 
 
 def _layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                counter: FlopCounter | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                counter: FlopCounter) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node layer norm; returns (output, xhat, inv_std)."""
     n = a.shape[-1]
     nodes = a.size // n
@@ -121,18 +114,10 @@ def _layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = cent * inv
     out = xhat * gain + bias
-    if counter is not None:
-        counter.add(nodes * n)          # mean accumulation
-        counter.mul(nodes)              # mean divide
-        counter.add(nodes * n)          # centering
-        counter.mul(nodes * n)          # squares
-        counter.add(nodes * n)          # variance accumulation
-        counter.mul(nodes)              # variance divide
-        counter.add(nodes)              # + eps
-        counter.mul(2 * nodes)          # sqrt, reciprocal
-        counter.mul(nodes * n)          # xhat
-        counter.mul(nodes * n)          # gain
-        counter.add(nodes * n)          # bias
+    # Adds: mean and variance accumulation, centring, + eps, bias.  Muls:
+    # squares, xhat, gain, the two divides by n, sqrt and reciprocal.
+    counter.add(nodes * (4 * n + 1))
+    counter.mul(nodes * (3 * n + 4))
     return out, xhat, inv
 
 
@@ -143,6 +128,7 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
     x is the normalized log2 fading matrix, shape (M, K) or (S, M, K);
     the output has the same leading shape.
     """
+    counter = counting(counter)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 2
     if single:
@@ -160,8 +146,7 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
         f_ue_g, tape_ue = _typed_block(h.swapaxes(1, 2),
                                        _type_arrays(model, t, "ue"), counter)
         z = f_ap + f_ue_g.swapaxes(1, 2)
-        if counter is not None:
-            counter.add(z.size)
+        counter.add(z.size)
         a = np.maximum(z, 0.0)
         gain = model.params[f"layer{t:02d}.ln_gain"]
         bias = model.params[f"layer{t:02d}.ln_bias"]
@@ -172,8 +157,7 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
     out_w = model.params["out.w"]
     out_b = model.params["out.b"]
     y = h @ out_w[0] + out_b[0]
-    if counter is not None:
-        counter.linear(s * m * k, out_w.shape[1], 1)
+    counter.linear(s * m * k, out_w.shape[1], 1)
     if want_tape:
         return (y[0] if single else y), {"layers": tape, "h_last": h,
                                          "single": single}
@@ -283,28 +267,24 @@ def project_powers(raw: np.ndarray, norm: NormStats,
     rounding leftovers).  Raw outputs that are not finite, or whose powers
     overflow to infinity, raise ValueError.
     """
+    counter = counting(counter)
     raw = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw outputs must be finite")
     eta = denormalize_output(raw, norm)
     if not np.all(np.isfinite(eta)):
         raise ValueError("raw outputs overflow to infinite powers")
-    if counter is not None:
-        counter.mul(raw.size)   # scale by std
-        counter.add(raw.size)   # shift by mean
-        counter.mul(raw.size)   # exp2
+    counter.mul(2 * raw.size)   # scale by std, exp2
+    counter.add(raw.size)       # shift by mean
     for _ in range(100):
         sums = eta.sum(axis=-1)
-        if counter is not None:
-            counter.add(eta.size)
+        counter.add(eta.size)
         mask = sums > 1.0
         if not np.any(mask):
             return eta
         inv = 1.0 / sums[mask]
         eta[mask] = eta[mask] * inv[:, None]
-        if counter is not None:
-            counter.mul(inv.size)
-            counter.mul(inv.size * eta.shape[-1])
+        counter.mul(inv.size * (1 + eta.shape[-1]))    # 1 / sums, rescale
     raise RuntimeError("row renormalization did not settle in 100 passes")
 
 

@@ -12,6 +12,12 @@ really does (including work on masked-out entries that the kernels still
 touch).  The test suite cross-checks the network's counts against a
 closed-form model written from the op definitions, which lives in
 `tests/oracle.py`; the two must agree to within about a percent.
+
+Every kernel reports to a counter unconditionally, so counted and uncounted
+runs execute the same statements.  The public entry points that take
+`counter=None` (`engine.forward`, `engine.project_powers`,
+`maxmin.solve_maxmin`) put a fresh `NoCounter` in its place: its tally
+methods do nothing, so only this module decides whether tallies are kept.
 """
 
 from __future__ import annotations
@@ -61,3 +67,32 @@ class FlopCounter:
         third = (n * n * n) // 3
         self.multiplies += third + rhs * n * n
         self.adds += third + rhs * n * n
+
+
+class NoCounter(FlopCounter):
+    """The counter of an uncounted run: every tally method does nothing.
+    Event fields such as `newton_retries` still count, on an object that
+    no caller reads."""
+
+    def mul(self, n: int) -> None:
+        pass
+
+    def add(self, n: int) -> None:
+        pass
+
+    def dot(self, n: int, count: int = 1) -> None:
+        pass
+
+    def matmul(self, m: int, n: int, p: int) -> None:
+        pass
+
+    def linear(self, batch: int, fan_in: int, fan_out: int) -> None:
+        pass
+
+    def solve_lu(self, n: int, rhs: int = 1) -> None:
+        pass
+
+
+def counting(counter: FlopCounter | None) -> FlopCounter:
+    """`counter`, or a fresh NoCounter for an uncounted run."""
+    return NoCounter() if counter is None else counter

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flops import FlopCounter
+from .flops import FlopCounter, counting
 from .sinr import compute_sinr, link
 
 _LOG_BARRIER_MU = 30.0
@@ -53,12 +53,14 @@ _NEWTON_DEC2_TOL = 2e-9
 # _SPREAD_REL of its worst SINR (the max-min optimum equalises SINRs, so the
 # surrogate's training target should too), or after _MAX_BISECTION steps.
 # _T_FLOOR is the first lower bracket tried; weaker channels start from
-# half the equal-power worst SINR instead.
+# half the equal-power worst SINR instead.  A solve that closes its bracket
+# but not its spread gets at most _EQUALISE_PASSES equalisation passes.
 _FEAS_TOL = 1e-6
 _REL_TOL = 1e-4
 _SPREAD_REL = 5e-4
 _MAX_BISECTION = 60
 _T_FLOOR = 1e-6
+_EQUALISE_PASSES = 4
 # Newton systems with more than _DENSE_MAX_N = M*K unknowns are solved with
 # their structure (see _structured_direction); at and below it the dense LU
 # is faster, and its bits are those of the committed 8x3 labels.  A
@@ -104,17 +106,14 @@ def _phi(weight: float, s: float, margins: np.ndarray, ball: np.ndarray) -> floa
 
 
 def _count_state(counter: FlopCounter, m: int, k: int) -> None:
-    counter.dot(k, m)            # row norms
-    counter.matmul(k, m, 1)      # bs.T @ r
-    counter.add(k)
-    counter.mul(k)               # sqrt
-    counter.dot(m, k)            # n_lin
-    counter.add(3 * k + m)       # g, margins, ball
+    # Row norms, bs.T @ r and n_lin: three MK-term dot sets.  Then q2's
+    # + 1 and sqrt (K each), and g, margins and ball (3K + M adds).
+    counter.mul(3 * m * k + k)
+    counter.add(3 * m * k + 4 * k + m)
 
 
 def _newton_terms(weight: float, sa: np.ndarray, bs: np.ndarray,
-                  sig: np.ndarray, state: tuple, counter: FlopCounter | None
-                  ) -> tuple:
+                  sig: np.ndarray, state: tuple, counter: FlopCounter) -> tuple:
     """The gradient and the pieces the barrier Hessian is built from:
     (b_inv, row_scale, grad, v_full, p_full).
 
@@ -147,15 +146,14 @@ def _newton_terms(weight: float, sa: np.ndarray, bs: np.ndarray,
     p_coef = np.sqrt(u / (q * q * q))
     p_full = (p_coef[:, None, None] * p_t).reshape(k_ue, n)
 
-    if counter is not None:
-        counter.mul(6 * n + 4 * k_ue + 2 * m_ap)       # gradient assembly
-        counter.mul(3 * k_ue * n + 2 * k_ue)           # p_t, v, p_full scaling
+    counter.mul(6 * n + 4 * k_ue + 2 * m_ap)           # gradient assembly
+    counter.mul(3 * k_ue * n + 2 * k_ue)               # p_t, v, p_full scaling
     return b_inv, row_scale, grad, v_full, p_full
 
 
 def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
                       sig: np.ndarray, s: float, state: tuple,
-                      counter: FlopCounter | None, work: list[np.ndarray]
+                      counter: FlopCounter
                       ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """One Newton system for the barrier subproblem.  Returns
     (delta_sigma, delta_s, grad_sigma, grad_s dotted into delta).
@@ -168,13 +166,12 @@ def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
         step = _structured_direction(sig, state[0], terms, counter)
         if step is not None:
             return step
-        if counter is not None:
-            counter.newton_dense_fallbacks += 1
-    return _dense_direction(sig, terms, counter, work)
+        counter.newton_dense_fallbacks += 1
+    return _dense_direction(sig, terms, counter)
 
 
 def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
-                          counter: FlopCounter | None
+                          counter: FlopCounter
                           ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
     """The Newton step without forming H (Boyd & Vandenberghe, App. C.4).
 
@@ -210,32 +207,29 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
     c = v_full[:, n] @ v_full[:, :n]
     d = float(v_full[:, n] @ v_full[:, n])
     g_norm = math.sqrt(float(grad @ grad))
-    if counter is not None:
-        counter.mul(4 * m_ap + 1)                      # ball_w, gamma, g_norm
-        counter.add(m_ap)
-        counter.dot(k_ue, n + 1)                       # c, d
-        counter.dot(n + 1)                             # |grad|^2
+    counter.mul(4 * m_ap + 1)                          # ball_w, gamma, g_norm
+    counter.add(m_ap)
+    counter.dot(k_ue, n + 1)                           # c, d
+    counter.dot(n + 1)                                 # |grad|^2
 
     def apply_b_inv(x: np.ndarray) -> np.ndarray:
         """B^-1 x for x of shape (n, j)."""
         x3 = x.reshape(m_ap, k_ue, -1)
         proj = gamma[:, None] * np.einsum("mk,mkj->mj", sig, x3)
         y = (x3 - sig[:, :, None] * proj[:, None, :]) / row_scale[:, None, None]
-        if counter is not None:
-            j = x3.shape[2]
-            counter.dot(k_ue, m_ap * j)
-            counter.mul(m_ap * j + 2 * n * j)
-            counter.add(n * j)
+        j = x3.shape[2]
+        counter.dot(k_ue, m_ap * j)
+        counter.mul(m_ap * j + 2 * n * j)
+        counter.add(n * j)
         return y.reshape(n, -1)
 
     def apply_a_inv(x: np.ndarray) -> np.ndarray:
         """A^-1 x for x of shape (n, j)."""
-        if counter is not None:
-            j = x.shape[1]
-            counter.matmul(2 * k_ue, n, j)             # U B^-1 x
-            counter.solve_lu(2 * k_ue, j)              # counted if it fails too
-            counter.matmul(n, 2 * k_ue, j)             # U'y
-            counter.add(n * j)
+        j = x.shape[1]
+        counter.matmul(2 * k_ue, n, j)                 # U B^-1 x
+        counter.solve_lu(2 * k_ue, j)                  # counted if it fails too
+        counter.matmul(n, 2 * k_ue, j)                 # U'y
+        counter.add(n * j)
         y = np.linalg.solve(cap, z.T @ x)
         return apply_b_inv(x - big_u.T @ y)
 
@@ -244,30 +238,25 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
         proj = ball_w * np.einsum("mk,mk->m", sig, dsig.reshape(m_ap, k_ue))
         h_sig = (diag * dsig + (proj[:, None] * sig).ravel()
                  + (sign * (big_u @ dsig)) @ big_u + ds * c)
-        if counter is not None:
-            counter.dot(k_ue, m_ap)
-            counter.mul(m_ap + 3 * n + 2 * k_ue)
-            counter.matmul(2 * k_ue, n, 1)
-            counter.matmul(1, 2 * k_ue, n)
-            counter.add(4 * n)
-            counter.dot(n)                             # c' dsig
-            counter.mul(1)
-            counter.add(2)
+        counter.dot(k_ue, m_ap)
+        counter.matmul(2 * k_ue, n, 1)
+        counter.matmul(1, 2 * k_ue, n)
+        counter.dot(n)                                 # c' dsig
+        counter.mul(m_ap + 3 * n + 2 * k_ue + 1)
+        counter.add(4 * n + 2)
         return -grad[:n] - h_sig, -grad[n] - float(c @ dsig) - d * ds
 
     z = apply_b_inv(big_u.T)
     cap = big_u @ z
     cap[np.arange(2 * k_ue), np.arange(2 * k_ue)] += sign
-    if counter is not None:
-        counter.matmul(2 * k_ue, n, 2 * k_ue)
-        counter.add(2 * k_ue)
+    counter.matmul(2 * k_ue, n, 2 * k_ue)
+    counter.add(2 * k_ue)
     try:
         y = apply_a_inv(np.stack([-grad[:n], c], axis=1))
         y_r, y_c = y[:, 0], y[:, 1]
         schur = d - float(c @ y_c)
-        if counter is not None:
-            counter.dot(n)
-            counter.add(1)
+        counter.dot(n)
+        counter.add(1)
         if not schur > 0.0:
             return None
         dsig, ds = np.zeros(n), 0.0
@@ -280,11 +269,10 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
             ds += corr_s
             res_sig, res_s = residual(dsig, ds)
             res_norm = math.sqrt(float(res_sig @ res_sig) + res_s * res_s)
-            if counter is not None:
-                counter.dot(n)                         # c' y_r
-                counter.dot(n + 1)                     # |residual|^2
-                counter.mul(n + 3)
-                counter.add(2 * n + 2)
+            counter.dot(n)                             # c' y_r
+            counter.dot(n + 1)                         # |residual|^2
+            counter.mul(n + 3)
+            counter.add(2 * n + 2)
             if res_norm <= _REFINE_TOL * g_norm:
                 break
         else:
@@ -298,51 +286,37 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
     return dsig.reshape(m_ap, k_ue), ds, grad, slope
 
 
-def _dense_direction(sig: np.ndarray, terms: tuple,
-                     counter: FlopCounter | None, work: list[np.ndarray]
+def _dense_direction(sig: np.ndarray, terms: tuple, counter: FlopCounter
                      ) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """The Newton step by LU of the dense (n+1)^2 Hessian.
-
-    The Hessian is assembled in place in work = [h, pp], buffers of shape
-    (n+1, n+1) and (n, n) that are allocated on first use (an empty `work`
-    is filled) and then reused for the rest of a feasibility test; only a
-    regularised retry builds another dense matrix.
-    """
+    """The Newton step by LU of the dense (n+1)^2 Hessian."""
     m_ap, k_ue = sig.shape
     n = m_ap * k_ue
     b_inv, row_scale, grad, v_full, p_full = terms
-    if not work:
-        work += [np.empty((n + 1, n + 1)), np.empty((n, n))]
-    h, pp = work
 
     # Each entry gets the same additions as when summed onto zeros, so the
     # bits do not depend on the order of the first two.
-    np.matmul(v_full.T, v_full, out=h)
+    h = v_full.T @ v_full
     diag = np.arange(n)
     h[diag, diag] += row_scale.repeat(k_ue)
-    np.matmul(p_full.T, p_full, out=pp)
-    h[:n, :n] -= pp
+    h[:n, :n] -= p_full.T @ p_full
     blocks = (4.0 * b_inv * b_inv)[:, None, None] * sig[:, :, None] * sig[:, None, :]
     aps = np.arange(m_ap)   # h[:n, :n] splits into a (M, K, M, K) view
     h[:n, :n].reshape(m_ap, k_ue, m_ap, k_ue)[aps, :, aps, :] += blocks
 
-    if counter is not None:
-        counter.matmul(n + 1, k_ue, n + 1)             # v_full.T @ v_full
-        counter.matmul(n, k_ue, n)                     # p_full.T @ p_full
-        counter.mul(m_ap * k_ue * k_ue)                # ball blocks
-        counter.add(n + n * n + m_ap * k_ue * k_ue)    # diagonal, -P'P, blocks
+    counter.matmul(n + 1, k_ue, n + 1)                 # v_full.T @ v_full
+    counter.matmul(n, k_ue, n)                         # p_full.T @ p_full
+    counter.mul(m_ap * k_ue * k_ue)                    # ball blocks
+    counter.add(n + n * n + m_ap * k_ue * k_ue)        # diagonal, -P'P, blocks
 
     reg = 0.0
     for _ in range(8):
         # One LU factorisation per solve that runs, a failed one included.
-        if counter is not None:
-            counter.solve_lu(n + 1)
+        counter.solve_lu(n + 1)
         try:
             if reg:
-                if counter is not None:
-                    counter.newton_retries += 1
-                    counter.mul((n + 1) * (n + 1))     # reg * base * eye
-                    counter.add((n + 1) * (n + 1))     # h + ...
+                counter.newton_retries += 1
+                counter.mul((n + 1) * (n + 1))         # reg * base * eye
+                counter.add((n + 1) * (n + 1))         # h + ...
                 base = float(np.mean(row_scale.repeat(k_ue))) + 1e-30
                 delta = np.linalg.solve(h + reg * base * np.eye(n + 1), -grad)
             else:
@@ -355,22 +329,20 @@ def _dense_direction(sig: np.ndarray, terms: tuple,
             return delta[:n].reshape(m_ap, k_ue), float(delta[n]), grad, slope
         reg = max(reg * 10.0, 1e-12)
     # Fall back to steepest descent if the system is hopeless.
-    if counter is not None:
-        counter.newton_fallbacks += 1
+    counter.newton_fallbacks += 1
     gn = float(grad @ grad)
     delta = -grad / math.sqrt(gn + 1e-300)
     return delta[:n].reshape(m_ap, k_ue), float(delta[n]), grad, -math.sqrt(gn)
 
 
 def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
-            s: float, counter: FlopCounter | None, work: list[np.ndarray]
-            ) -> tuple[np.ndarray, float, tuple]:
+            s: float, counter: FlopCounter) -> tuple[np.ndarray, float, tuple]:
     """Newton iterations minimising the barrier at a fixed objective weight."""
     state = _state(sa, bs, sig, s)
     phi = _phi(weight, s, state[4], state[1])
     for _ in range(_NEWTON_MAX_STEPS):
         dsig, ds, grad, slope = _newton_direction(weight, sa, bs, sig, s,
-                                                  state, counter, work)
+                                                  state, counter)
         dec2 = -slope
         if dec2 / 2.0 <= _NEWTON_DEC2_TOL:
             break
@@ -380,8 +352,7 @@ def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
             sig_n = sig + step * dsig
             s_n = s + step * ds
             state_n = _state(sa, bs, sig_n, s_n)
-            if counter is not None:
-                _count_state(counter, *sig.shape)
+            _count_state(counter, *sig.shape)
             phi_n = _phi(weight, s_n, state_n[4], state_n[1])
             if phi_n <= phi + 0.01 * step * slope:
                 sig, s, state, phi = sig_n, s_n, state_n, phi_n
@@ -402,6 +373,7 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
     Returns (feasible, eta, achieved) where achieved is the exact worst-user
     SINR of eta when feasible.  eta is None when infeasible.
     """
+    counter = counting(counter)
     m_ap, k_ue = sa.shape
     n_constr = m_ap + k_ue
     # Work with gains divided by sqrt(t): the cone margins are then measured
@@ -426,9 +398,8 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
     weight = n_constr / (0.25 * scale0)
     gap_floor = 1e-12 * scale0
     best: tuple[bool, np.ndarray | None, float] | None = None
-    work: list[np.ndarray] = []     # the dense step's, filled on first use
     while True:
-        sig, s, state = _center(weight, sa_t, bs, sig, s, counter, work)
+        sig, s, state = _center(weight, sa_t, bs, sig, s, counter)
         gap = n_constr / weight
         if s > 0.0:
             achieved = _achieved_min_sinr(sa, bs, sig)
@@ -461,6 +432,11 @@ def _sinr_scaled(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return num * num / den
 
 
+def _spread_ok(sinr: np.ndarray) -> bool:
+    worst = float(np.min(sinr))
+    return float(np.max(sinr) - worst) <= _SPREAD_REL * worst
+
+
 def equal_power(num_aps: int, num_ues: int) -> np.ndarray:
     """Baseline allocation: every AP splits full power evenly over users."""
     return np.full((num_aps, num_ues), 1.0 / num_ues)
@@ -480,7 +456,14 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     which typically saves several iterations.  The final allocation comes
     from a fully centred margin solve, so its per-user SINRs are equalised
     to within _SPREAD_REL relative spread.
+
+    When the bracket closes but the spread test still fails at the end of
+    the bisection, each user's powers are scaled by min(1, t / SINR_k),
+    with t the worst SINR, until the spread test passes.  Lowering a
+    user's power lowers everyone's interference, so SINR_k stays at or
+    above t and the worst SINR does not fall (Yates, IEEE JSAC 1995).
     """
+    counter = counting(counter)
     beta = np.asarray(beta, dtype=float)
     alpha, rho_d = link(beta)
     sa = np.sqrt(rho_d * alpha)
@@ -521,8 +504,7 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
                     eta = eta_f
                     sig_warm = np.sqrt(eta)
                 sinr = _sinr_scaled(sa, bs, sig_warm)
-            spread = float(np.max(sinr) - np.min(sinr))
-            if spread <= _SPREAD_REL * float(np.min(sinr)):
+            if _spread_ok(sinr):
                 break
             if (hi - lo) <= 4.0 * np.finfo(float).eps * lo:
                 break
@@ -544,9 +526,13 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
 
     if sinr is None:
         sinr = _sinr_scaled(sa, bs, sig_warm)
-    spread = float(np.max(sinr) - np.min(sinr))
-    converged = ((hi - lo) <= _REL_TOL * lo
-                 and spread <= _SPREAD_REL * float(np.min(sinr)))
+    bracket_ok = (hi - lo) <= _REL_TOL * lo
+    for _ in range(_EQUALISE_PASSES):
+        if not bracket_ok or _spread_ok(sinr):
+            break
+        eta = eta * np.minimum(1.0, float(np.min(sinr)) / sinr)
+        sinr = _sinr_scaled(sa, bs, np.sqrt(eta))
+    converged = bracket_ok and _spread_ok(sinr)
     t_star = float(np.min(sinr))
     sinr_exact = compute_sinr(beta, alpha, eta, rho_d)
     return MaxMinSolution(t_star=t_star, eta=eta, sinr=sinr_exact,

@@ -3,15 +3,21 @@
 The network is trained to minimise the mean square error of the per-user
 SINR, not of the powers: predictions are denormalized (eta = 2^(x*std+mean),
 no projection) and pushed through the exact SINR expression, and
-the gradient is propagated back through that whole chain by hand.  The
-derivative of the SINR numerator would blow up as eta -> 0 if written
-naively; fusing it with the 2^x factor gives the stable form
+the gradient is propagated back through that whole chain by hand.  With
+p = x*std + mean the log2 power, the code first forms dL/d(eta) and then
+multiplies by d(eta)/dp = ln(2) * eta:
 
-    dL/dx[m,k] = ln(2) * (0.5 * dN_k * sqrt(alpha*eta)[m,k]
-                          + eta[m,k] * rho_d * (beta @ dD)[m])
+    dL/dp[m,k] = ln(2) * eta[m,k]
+                 * (0.5 * dN_k * sqrt(alpha*eta)[m,k] / max(eta[m,k], 1e-300)
+                    + rho_d * (beta @ dD)[m])
 
 where dN and dD are the loss gradients with respect to the beamforming sum
-and the denominator.
+and the denominator; dL/dx is this times std.  The
+numerator's derivative sqrt(alpha*eta) / (2 eta) grows without bound as
+eta -> 0, and the 1e-300 floor keeps an eta that underflows to 0 at a
+gradient of 0 instead of 0/0.  In exact arithmetic this equals the fused
+ln(2) * (0.5 * dN * sqrt(alpha*eta) + eta * rho_d * (beta @ dD)), but not
+bit for bit, and checkpoints keep the bits of the order above.
 
 Everything is reproducible: batch composition depends only on (seed, epoch),
 and each epoch checkpoint carries the optimizer state and the best
@@ -164,17 +170,12 @@ class _Bucket:
 
 
 def _make_buckets(samples: list[Sample], stats: NormStats) -> list[_Bucket]:
-    order: list[tuple[int, int]] = []
     grouped: dict[tuple[int, int], list[Sample]] = {}
     for sample in samples:
         key = (sample.num_aps, sample.num_ues)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(sample)
+        grouped.setdefault(key, []).append(sample)
     buckets = []
-    for key in order:
-        members = grouped[key]
+    for key, members in grouped.items():
         beta = np.stack([s.beta for s in members])
         x = np.stack([normalize_input(s.beta, stats) for s in members])
         sinr = np.stack([s.sinr_opt for s in members])

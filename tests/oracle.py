@@ -2,10 +2,9 @@
 
 * `dense_newton_system`: the solver's barrier Newton system, the oracle for
   both of its Newton steps.  The dense step (`maxmin._dense_direction`)
-  assembles the (MK+1)^2 Hessian in place in a workspace it reuses across
-  Newton systems and is held to this bit for bit; the structured step
-  taken above `maxmin._DENSE_MAX_N` unknowns is held to its residual.
-  This builds the same system the obvious way, from fresh arrays: zeros,
+  assembles the (MK+1)^2 Hessian onto V'V and is held to this bit for bit;
+  the structured step taken above `maxmin._DENSE_MAX_N` unknowns is held
+  to its residual.  This builds the same system the obvious way: zeros,
   then the per-entry diagonal, then += V'V, then -= P'P, then one ball
   block per AP in a Python loop.  Float addition commutes, so each entry receives the same
   sums and the two must agree bit for bit.
@@ -107,8 +106,7 @@ def typed_block(x: np.ndarray, arrays: tuple, counter) -> tuple:
     s, g, nmem, n_in = x.shape
     c, d, _ = w1.shape
     sv = _apply_map(x, w1, b1)
-    if counter is not None:
-        counter.linear(s * g * nmem, n_in, c * d)
+    counter.linear(s * g * nmem, n_in, c * d)
     if nmem == 1:
         out5 = sv
         tape = (x, None, None, None, None)
@@ -116,29 +114,24 @@ def typed_block(x: np.ndarray, arrays: tuple, counter) -> tuple:
         v = _apply_map(x, w2, b2)
         q = _apply_map(x, w3, b3)
         k = _apply_map(x, w4, b4)
-        if counter is not None:
-            counter.linear(s * g * nmem, n_in, c * d)
-            counter.linear(s * g * nmem, n_in, c * d)
-            counter.linear(s * g * nmem, n_in, c * d)
+        counter.linear(s * g * nmem, n_in, c * d)
+        counter.linear(s * g * nmem, n_in, c * d)
+        counter.linear(s * g * nmem, n_in, c * d)
         logits = (q @ k.swapaxes(-1, -2)) / math.sqrt(d)
-        if counter is not None:
-            counter.dot(d, s * g * c * nmem * nmem)
-            counter.mul(s * g * c * nmem * nmem)
+        counter.dot(d, s * g * c * nmem * nmem)
+        counter.mul(s * g * c * nmem * nmem)
         idx = np.arange(nmem)
         logits[..., idx, idx] = _MASK_VALUE
         mx = logits.max(axis=-1, keepdims=True)
         ex = np.exp(logits - mx)
         total = ex.sum(axis=-1, keepdims=True)
         attn = ex / total
-        if counter is not None:
-            counter.add(2 * s * g * c * nmem * nmem)
-            counter.mul(2 * s * g * c * nmem * nmem)
+        counter.add(2 * s * g * c * nmem * nmem)
+        counter.mul(2 * s * g * c * nmem * nmem)
         agg = attn @ v
-        if counter is not None:
-            counter.dot(nmem, s * g * c * nmem * d)
+        counter.dot(nmem, s * g * c * nmem * d)
         out5 = sv + agg
-        if counter is not None:
-            counter.add(s * g * nmem * c * d)
+        counter.add(s * g * nmem * c * d)
         tape = (x, q, k, v, attn)
     out = out5.transpose(0, 1, 3, 2, 4).reshape(s, g, nmem, c * d)
     return out, tape

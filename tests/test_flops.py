@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from cfgnn.engine import count_flops
-from cfgnn.flops import FlopCounter
-from cfgnn.model import LayerPlan
-from oracle import gnn_forward_flops
+from cfgnn.engine import backward, count_flops, forward, project_powers
+from cfgnn.eval import flop_comparison
+from cfgnn.flops import FlopCounter, NoCounter
+from cfgnn.graph import build_graph
+from cfgnn.maxmin import solve_maxmin
+from cfgnn.model import LayerPlan, init_model
+from oracle import fading_instance, gnn_forward_flops
 
 
 def test_counter_primitives():
@@ -27,6 +30,61 @@ def test_counter_primitives():
     c.solve_lu(3, rhs=2)
     assert c.multiplies == 9 + 18
     assert c.adds == 9 + 18
+
+
+def test_no_counter_keeps_no_tallies():
+    c = NoCounter()
+    c.mul(3)
+    c.add(4)
+    c.dot(5)
+    c.matmul(2, 3, 4)
+    c.linear(2, 3, 4)
+    c.solve_lu(3, rhs=2)
+    assert (c.multiplies, c.adds) == (0, 0)
+
+
+def test_flop_tallies_are_pinned():
+    """Exact tallies of the network (forward plus projection) and of the
+    solver on `flop_comparison`'s instances.  Moving one changes what is
+    counted or what runs, and needs a record of the old and new value."""
+    assert [count_flops(m, k) for m, k in ((8, 3), (32, 9), (128, 32))] == \
+        [956244, 16676116, 530600427]
+    assert flop_comparison(8, 3) == (956244, 8655856)
+    assert flop_comparison(32, 9) == (16676116, 275105551)
+
+
+@pytest.mark.parametrize("m, k", [(8, 3), (32, 9)])
+def test_counting_does_not_change_network_bytes(m, k):
+    """forward, backward and project_powers give the same bytes with a
+    counter as without, for a batch and for one sample."""
+    model = init_model(seed=m * k)
+    graph = build_graph(m, k)
+    rng = np.random.default_rng(m * k)
+    x = rng.standard_normal((4, m, k))
+    dy = rng.standard_normal((4, m, k))
+    for xs, dys in ((x, dy), (x[0], dy[0])):
+        runs = []
+        for counter in (None, FlopCounter()):
+            y, tape = forward(graph, xs, model, counter=counter, want_tape=True)
+            runs.append([y, forward(graph, xs, model, counter=counter),
+                         project_powers(y, model.norm, counter=counter),
+                         *backward(model, tape, dys).values()])
+        assert counter.total > 0
+        assert [a.tobytes() for a in runs[0]] == [b.tobytes() for b in runs[1]]
+
+
+@pytest.mark.parametrize("m, k, seed", [(8, 3, 1), (16, 5, 7)])
+def test_counting_does_not_change_solver_bytes(m, k, seed):
+    """An 8x3 draw takes the dense Newton step, a 16x5 one the structured."""
+    beta = fading_instance(m, k, seed)
+    counter = FlopCounter()
+    counted = solve_maxmin(beta, counter=counter)
+    plain = solve_maxmin(beta)
+    assert counter.total > 0
+    assert counted.eta.tobytes() == plain.eta.tobytes()
+    assert counted.sinr.tobytes() == plain.sinr.tobytes()
+    assert (counted.t_star, counted.iterations) == \
+        (plain.t_star, plain.iterations)
 
 
 def test_analytic_count_positive_and_monotone():

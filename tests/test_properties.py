@@ -6,7 +6,7 @@ for the file to finish in well under 30 s.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cfgnn.channel import MORPHOLOGIES, RadioDefaults
@@ -33,9 +33,14 @@ def instances(draw):
 
 @settings(PROPERTY, max_examples=40)
 @given(instances())
+# Two rural draws whose bracket closes before their SINRs are equal: about
+# 2 in 900 draws of this space, too rare for 40 examples to meet.
+@example((fading_instance(1, 3, 3, "rural"), 3))
+@example((fading_instance(2, 3, 21, "rural"), 3))
 def test_solver_returns_feasible_powers(instance):
     beta, k = instance
     sol = solve_maxmin(beta)
+    assert sol.converged
     assert is_feasible(sol.eta)
     alpha = compute_alpha(beta, RHO_U, k)
     sinr = compute_sinr(beta, alpha, sol.eta, RHO_D)
