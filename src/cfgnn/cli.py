@@ -99,12 +99,7 @@ def _cmd_train(args, parser) -> int:
         cfg = TrainConfig(**overrides)
     except TypeError as exc:
         parser.error(f"bad training config: {exc}")
-    samples = read_jsonl(args.data)
-    if not all(s.labeled for s in samples):
-        print("error: training data must be labeled (run `solve` first)",
-              file=sys.stderr)
-        return 1
-    train_set, val_set = split_train_val(samples, cfg)
+    train_set, val_set = split_train_val(read_jsonl(args.data), cfg)
     model, history = train(train_set, val_set, cfg, args.out,
                            resume_from=args.resume_from)
     last = history[-1] if history else {}

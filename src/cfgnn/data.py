@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_fading
+from .channel import MORPHOLOGIES, draw_fading
 from .maxmin import SolverError, solve_maxmin
 from .sinr import compute_alpha, compute_sinr, is_feasible
 
@@ -107,10 +107,15 @@ def _finite_field(doc: dict, key: str, size: int) -> np.ndarray:
 
 
 def sample_from_json(line: str) -> Sample:
-    """Parse one JSONL record, rejecting wrong lengths, non-finite values,
-    non-positive fading gains and negative powers."""
+    """Parse one JSONL record, rejecting M or K below 1, unknown morphologies,
+    wrong lengths, non-finite values, non-positive gains, negative powers."""
     doc = json.loads(line)
     m, k = int(doc["M"]), int(doc["K"])
+    if m < 1 or k < 1:
+        raise ValueError(f"M and K must be >= 1, got M={m}, K={k}")
+    if doc["morphology"] not in MORPHOLOGIES:
+        raise ValueError(f"unknown morphology {doc['morphology']!r}, expected "
+                         f"one of {', '.join(MORPHOLOGIES)}")
     beta = _finite_field(doc, "beta", m * k).reshape(m, k)
     if np.any(beta <= 0):
         raise ValueError("beta entries must be positive")

@@ -34,7 +34,7 @@ import numpy as np
 from .data import NormStats, denormalize_output
 from .flops import FlopCounter, counting
 from .graph import HeteroGraph, build_graph
-from .model import GnnModel, init_model, param_shapes
+from .model import GnnModel, init_model
 
 LN_EPS = 1e-5
 _MASK_VALUE = -1e30
@@ -136,8 +136,6 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
     if x.ndim != 3 or x.shape[1] != graph.num_aps or x.shape[2] != graph.num_ues:
         raise ValueError(f"features {x.shape} do not match graph "
                          f"({graph.num_aps}, {graph.num_ues})")
-    if model.plan.sizes[0] != 1:
-        raise ValueError("plan input width must be 1 (one scalar per node)")
     s, m, k = x.shape
     h = x[..., None]
     tape = []
@@ -213,7 +211,7 @@ def _typed_block_bwd(df: np.ndarray, arrays: tuple, tape: tuple
 
 def backward(model: GnnModel, tape: dict, dy: np.ndarray
              ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss for every parameter, given dL/d(raw output).
+    """Gradients of a scalar loss per parameter name, given dL/d(raw output).
 
     dy has the shape of the forward output ((M, K) or (S, M, K)).
     """
@@ -249,8 +247,7 @@ def backward(model: GnnModel, tape: dict, dy: np.ndarray
             grads[f"layer{t:02d}.ap.{name}"] = val
         for name, val in g_ue.items():
             grads[f"layer{t:02d}.ue.{name}"] = val
-    ordered = {name: grads[name] for name in param_shapes(model.plan)}
-    return ordered
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,7 @@ def _newton_terms(weight: float, sa: np.ndarray, bs: np.ndarray,
 
 
 def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
-                      sig: np.ndarray, s: float, state: tuple,
-                      counter: FlopCounter
+                      sig: np.ndarray, state: tuple, counter: FlopCounter
                       ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """One Newton system for the barrier subproblem.  Returns
     (delta_sigma, delta_s, grad_sigma, grad_s dotted into delta).
@@ -341,7 +340,7 @@ def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
     state = _state(sa, bs, sig, s)
     phi = _phi(weight, s, state[4], state[1])
     for _ in range(_NEWTON_MAX_STEPS):
-        dsig, ds, grad, slope = _newton_direction(weight, sa, bs, sig, s,
+        dsig, ds, grad, slope = _newton_direction(weight, sa, bs, sig,
                                                   state, counter)
         dec2 = -slope
         if dec2 / 2.0 <= _NEWTON_DEC2_TOL:
@@ -365,15 +364,14 @@ def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
 
 
 def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
-                  sig_init: np.ndarray | None = None, full_center: bool = False,
-                  counter: FlopCounter | None = None
+                  counter: FlopCounter, sig_init: np.ndarray | None = None,
+                  full_center: bool = False
                   ) -> tuple[bool, np.ndarray | None, float]:
     """Decide feasibility of SINR target t.
 
     Returns (feasible, eta, achieved) where achieved is the exact worst-user
     SINR of eta when feasible.  eta is None when infeasible.
     """
-    counter = counting(counter)
     m_ap, k_ue = sa.shape
     n_constr = m_ap + k_ue
     # Work with gains divided by sqrt(t): the cone margins are then measured
@@ -402,7 +400,7 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
         sig, s, state = _center(weight, sa_t, bs, sig, s, counter)
         gap = n_constr / weight
         if s > 0.0:
-            achieved = _achieved_min_sinr(sa, bs, sig)
+            achieved = float(np.min(_sinr_scaled(sa, bs, sig)))
             if achieved >= t * (1.0 - _FEAS_TOL):
                 best = (True, sig * sig, achieved)
                 if not full_center or gap <= 1e-3 * max(abs(s), 1e-6 * scale0):
@@ -412,20 +410,15 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
         if gap <= gap_floor:
             if best is not None:
                 return best
-            achieved = _achieved_min_sinr(sa, bs, sig)
+            achieved = float(np.min(_sinr_scaled(sa, bs, sig)))
             if achieved >= t * (1.0 - _FEAS_TOL):
                 return True, sig * sig, achieved
             return False, None, s
         weight *= _LOG_BARRIER_MU
 
 
-def _achieved_min_sinr(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> float:
-    """Exact worst-user SINR of eta = sigma**2 in the rho-scaled variables."""
-    sinr = _sinr_scaled(sa, bs, sig)
-    return float(np.min(sinr))
-
-
 def _sinr_scaled(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Exact per-user SINRs of eta = sigma**2 in the rho-scaled variables."""
     num = np.einsum("mk,mk->k", sa, np.abs(sig))
     r = np.einsum("mk,mk->m", sig, sig)
     den = 1.0 + bs.T @ r
@@ -473,7 +466,7 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     lo = _T_FLOOR
     feasible = False
     if lo < hi:
-        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter=counter)
+        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter)
     if not feasible:
         eta_eq = equal_power(*beta.shape)
         t_eq = float(np.min(compute_sinr(beta, alpha, eta_eq, rho_d)))
@@ -482,7 +475,7 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
             raise SolverError("equal power gives a user SINR 0 (its channel "
                               "estimate quality alpha underflows to 0), so "
                               "no allocation has a positive worst-user SINR")
-        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter=counter)
+        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter)
         if not feasible:
             # Equal power itself witnesses t_eq.
             eta, achieved = eta_eq, t_eq
@@ -496,10 +489,9 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
         if bracket_ok:
             if sinr is None:
                 # Polish: fully centred solve at the incumbent target.
-                ok, eta_f, achieved = _margin_solve(sa, bs, lo,
+                ok, eta_f, achieved = _margin_solve(sa, bs, lo, counter,
                                                     sig_init=sig_warm,
-                                                    full_center=True,
-                                                    counter=counter)
+                                                    full_center=True)
                 if ok:
                     eta = eta_f
                     sig_warm = np.sqrt(eta)
@@ -510,10 +502,9 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
                 break
         mid = 0.5 * (lo + hi)
         near_end = (hi - lo) <= 16.0 * _REL_TOL * lo
-        feasible, eta_mid, achieved = _margin_solve(sa, bs, mid,
+        feasible, eta_mid, achieved = _margin_solve(sa, bs, mid, counter,
                                                     sig_init=sig_warm,
-                                                    full_center=near_end,
-                                                    counter=counter)
+                                                    full_center=near_end)
         iterations += 1
         if feasible:
             eta = eta_mid

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class LayerPlan:
     def __post_init__(self) -> None:
         if len(self.sizes) < 3:
             raise ValueError("plan needs at least input, one hidden, output")
+        if self.sizes[0] != 1 or self.sizes[-1] != 1:
+            raise ValueError(f"plan sizes {self.sizes} must start and end with "
+                             "1 (one scalar per node in and out)")
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
         for width in self.sizes[1:-1]:
@@ -64,7 +67,7 @@ class LayerPlan:
 class GnnModel:
     plan: LayerPlan
     params: dict[str, np.ndarray]
-    norm: NormStats = field(default_factory=lambda: NormStats(0.0, 1.0, 0.0, 1.0))
+    norm: NormStats
 
 
 def param_shapes(plan: LayerPlan) -> dict[str, tuple[int, ...]]:
@@ -172,7 +175,8 @@ def load_checkpoint(path: str) -> tuple[GnnModel, dict]:
     sections (fingerprint, extra, extra_arrays).
 
     A file that is not a whole, finite checkpoint raises ValueError naming
-    the path: text that does not decode, a missing section or field, a
+    the path: text that does not decode, a missing section or field, a plan
+    that LayerPlan refuses, a fingerprint or extra that is not an object, a
     parameter name or shape mismatch, or a NaN or infinite entry in params
     or extra_arrays.
     """
@@ -205,6 +209,9 @@ def _checkpoint_from_doc(doc: dict) -> tuple[GnnModel, dict]:
     ordered = {name: params[name] for name in expected}
     rest = {"fingerprint": doc.get("fingerprint", {}),
             "extra": doc.get("extra", {})}
+    for key, value in rest.items():
+        if not isinstance(value, dict):
+            raise ValueError(f"checkpoint {key} is not a JSON object")
     if "extra_arrays" in doc:
         rest["extra_arrays"] = _arrays_from_json("extra_arrays",
                                                  doc["extra_arrays"])

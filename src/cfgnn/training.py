@@ -116,14 +116,13 @@ class AdamState:
 
 def init_adam(model: GnnModel) -> AdamState:
     return AdamState(m={n: np.zeros_like(p) for n, p in model.params.items()},
-                     v={n: np.zeros_like(p) for n, p in model.params.items()},
-                     t=0)
+                     v={n: np.zeros_like(p) for n, p in model.params.items()})
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, cfg: TrainConfig
-              ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with bias correction; mutates params/state in place."""
+              state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update with bias correction, in place on params and state;
+    grads are looked up by parameter name."""
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -136,7 +135,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * g * g
         p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-    return params, state
 
 
 def split_train_val(samples: list[Sample], cfg: TrainConfig
@@ -162,8 +160,6 @@ def split_train_val(samples: list[Sample], cfg: TrainConfig
 
 @dataclass
 class _Bucket:
-    num_aps: int
-    num_ues: int
     x: np.ndarray          # (n, M, K) normalized inputs
     beta: np.ndarray
     sinr_opt: np.ndarray   # (n, K)
@@ -172,15 +168,13 @@ class _Bucket:
 def _make_buckets(samples: list[Sample], stats: NormStats) -> list[_Bucket]:
     grouped: dict[tuple[int, int], list[Sample]] = {}
     for sample in samples:
-        key = (sample.num_aps, sample.num_ues)
-        grouped.setdefault(key, []).append(sample)
+        grouped.setdefault(sample.beta.shape, []).append(sample)
     buckets = []
-    for key, members in grouped.items():
+    for members in grouped.values():
         beta = np.stack([s.beta for s in members])
-        x = np.stack([normalize_input(s.beta, stats) for s in members])
         sinr = np.stack([s.sinr_opt for s in members])
-        buckets.append(_Bucket(num_aps=key[0], num_ues=key[1], x=x,
-                               beta=beta, sinr_opt=sinr))
+        buckets.append(_Bucket(x=normalize_input(beta, stats), beta=beta,
+                               sinr_opt=sinr))
     return buckets
 
 
@@ -199,7 +193,7 @@ def _epoch_batches(buckets: list[_Bucket], batch_size: int,
 def _validation_loss(model: GnnModel, buckets: list[_Bucket]) -> float:
     total, count = 0.0, 0
     for bucket in buckets:
-        graph = build_graph(bucket.num_aps, bucket.num_ues)
+        graph = build_graph(*bucket.x.shape[1:])
         y = forward(graph, bucket.x, model)
         eta = denormalize_output(y, model.norm)
         alpha, rho_d = link(bucket.beta)
@@ -220,15 +214,14 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
     checkpoints/epoch_NNN.json and best.json under out_dir.  Resuming from an
     epoch checkpoint continues bit-identically, best.json included, because
     batch shuffling is a pure function of (seed, epoch) and the optimizer
-    state and best validation loss ride along in the checkpoint.
+    state and best validation loss ride along in the checkpoint; cfg may
+    differ from the checkpoint's fingerprint in epochs only.
     """
     if not train_set:
         raise ValueError("empty training set")
     if not all(s.labeled for s in train_set + val_set):
-        raise ValueError("training requires labeled samples")
-    out = Path(out_dir)
-    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-
+        raise ValueError("training requires labeled samples "
+                         "(run `cfgnn solve` first)")
     if resume_from is not None:
         model, rest = load_checkpoint(resume_from)
         stats = model.norm
@@ -243,6 +236,13 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
         except KeyError as exc:
             raise ValueError(f"{resume_from}: not an epoch checkpoint, "
                              f"it lacks {exc}") from None
+        saved = rest["fingerprint"]
+        changed = [f"{key} {value!r} (checkpoint {saved.get(key)!r})"
+                   for key, value in cfg.fingerprint().items()
+                   if key != "epochs" and saved.get(key) != value]
+        if changed:
+            raise ValueError(f"{resume_from}: training config differs from "
+                             f"the checkpoint's: {', '.join(changed)}")
         best_val = math.inf if saved_best is None else float(saved_best)
     else:
         stats = compute_norm_stats(train_set)
@@ -251,6 +251,8 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
         start_epoch = 0
         best_val = math.inf
 
+    out = Path(out_dir)
+    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     train_buckets = _make_buckets(train_set, stats)
     val_buckets = _make_buckets(val_set, stats) if val_set else []
 

@@ -46,13 +46,13 @@ import numpy as np
 
 from cfgnn.channel import draw_fading
 from cfgnn.engine import _MASK_VALUE
-from cfgnn.flops import FlopCounter
+from cfgnn.flops import FlopCounter, NoCounter
 from cfgnn.maxmin import MaxMinSolution, _margin_solve
 from cfgnn.sinr import Link, compute_sinr, link
 
 
 def dense_newton_system(weight: float, sa: np.ndarray, bs: np.ndarray,
-                        sig: np.ndarray, s: float, state: tuple
+                        sig: np.ndarray, state: tuple
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(H, grad) of the barrier subproblem at the interior point (sig, s).
 
@@ -231,7 +231,8 @@ def feasibility_check(beta: np.ndarray, t: float) -> np.ndarray | None:
         raise ValueError("target t must be positive")
     beta = np.asarray(beta, dtype=float)
     alpha, rho_d = link(beta)
-    feasible, eta, _ = _margin_solve(np.sqrt(rho_d * alpha), rho_d * beta, t)
+    feasible, eta, _ = _margin_solve(np.sqrt(rho_d * alpha), rho_d * beta, t,
+                                     NoCounter())
     return eta if feasible else None
 
 

@@ -1,11 +1,30 @@
 """Command-line contract: subcommands, exit codes, end-to-end determinism."""
 
+import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cfgnn.cli import main, parse_scenarios
+from cfgnn.cli import _BLAS_VARS, main, parse_scenarios
+from oracle import subprocess_env
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+# sha256 of the artifacts of `cfgnn --threads 1 train` (epochs 4, batch 64,
+# seed 3) on the 8x3 fixture, then `eval` on its held-out rows; measured
+# with numpy 2.4.6 and one BLAS thread.
+FIXTURE_RUN_SHA256 = {
+    "run/best.json":
+        "f4c57ef0481346ceb7057a52127b80c44e285c6394e9bd6b9fc1adc7c6d9a3e5",
+    "run/checkpoints/epoch_004.json":
+        "d43ecda75996bb52d22e193b00caea171464c1a7fb15c87b579653f476a1533a",
+    "reports/summary.csv":
+        "650a11db372f2b6e0719cbe07e88213dc4630d8dedd7641182f775b4218d94a0",
+    "reports/cdf_8x3_urban.csv":
+        "63dbfdbd7c0a4dbf838dde83f3fd7d2fa7c9251616e54c2f297df5f026f0049f",
+}
 
 
 def test_parse_scenarios_grammar():
@@ -179,8 +198,8 @@ def test_malformed_dataset_exits_one_with_line_number(tmp_path, capsys):
 
 def test_broken_checkpoint_exits_one_naming_the_file(tmp_path, capsys):
     """A checkpoint that does not decode, lacks a section, has a wrong
-    shape or holds a NaN fails on load with its path, through `eval` and
-    `train --resume-from` alike."""
+    shape, holds a NaN or has a fingerprint that is not an object fails on
+    load with its path, through `eval` and `train --resume-from` alike."""
     raw, labeled = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
     main(["gen-data", "--scenarios", "2x2:urban", "--count", "8",
           "--out", str(raw), "--seed", "2"])
@@ -215,6 +234,8 @@ def test_broken_checkpoint_exits_one_naming_the_file(tmp_path, capsys):
          "extra_arrays tensor adam_v.out.b holds non-finite values"),
         ("no_params", edited(("params",), None), "checkpoint lacks 'params'"),
         ("no_norm", edited(("norm",), None), "checkpoint lacks 'norm'"),
+        ("list_fingerprint", edited(("fingerprint",), [1]),
+         "checkpoint fingerprint is not a JSON object"),
         ("wrong_shape", edited(("params", "out.w", "shape"), [8, 1]),
          "checkpoint shape mismatch for out.w"),
     ]
@@ -236,3 +257,24 @@ def test_broken_checkpoint_exits_one_naming_the_file(tmp_path, capsys):
                  "--resume-from", str(run / "best.json")]) == 1
     assert f"error: {run / 'best.json'}: not an epoch checkpoint" in \
         capsys.readouterr().err
+
+
+def test_fixture_run_bytes_are_pinned(tmp_path):
+    """Training and evaluation on the benchmark fixture reproduce the
+    pinned checkpoint and report bytes in a fresh one-BLAS-thread process."""
+    env = subprocess_env(**{var: "1" for var in _BLAS_VARS})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 4, "batch_size": 64, "seed": 3}')
+    run, reports = tmp_path / "run", tmp_path / "reports"
+    for command in (["train", "--data", str(FIXTURES / "train_8x3.jsonl"),
+                     "--config", str(cfg), "--out", str(run)],
+                    ["eval", "--model", str(run / "best.json"),
+                     "--data", str(FIXTURES / "heldout_8x3.jsonl"),
+                     "--report-dir", str(reports)]):
+        result = subprocess.run(
+            [sys.executable, "-m", "cfgnn.cli", "--threads", "1", *command],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 0, (command, result.stderr)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in FIXTURE_RUN_SHA256}
+    assert digests == FIXTURE_RUN_SHA256

@@ -177,3 +177,25 @@ def test_read_jsonl_rejects_negative_eta(tmp_path, labeled_4x2):
     path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
     with pytest.raises(ValueError, match=r"bad\.jsonl:2: eta_opt entries must be non-negative"):
         read_jsonl(path)
+
+
+def test_read_jsonl_rejects_unknown_morphology(tmp_path, labeled_4x2):
+    def corrupt(doc):
+        doc["morphology"] = "desert"
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: unknown morphology 'desert'"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ["M", "K"])
+def test_read_jsonl_rejects_empty_scenario(tmp_path, labeled_4x2, field):
+    """A zero size with matching empty arrays is consistent but not a
+    scenario: it must not reach the solver or the trainer."""
+    def corrupt(doc):
+        doc[field] = 0
+        doc["beta"], doc["eta_opt"] = [], []
+        if field == "K":
+            doc["sinr_opt"] = []
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: M and K must be >= 1"):
+        read_jsonl(path)

@@ -7,6 +7,7 @@ attention kernels and the streamed checkpoint writer are held bit for bit to
 the straightforward versions in `oracle`.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -291,6 +292,24 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
                     extra_arrays={"adam_m.out.w": np.array([[0.125, -7.5e-17]])},
                     extra={"epoch": 3})
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_plan_needs_one_scalar_in_and_out_at_load(tmp_path):
+    """A plan whose end widths are not 1 is refused where it is made, so a
+    checkpoint carrying one fails to load, naming its path, instead of
+    running with all but the first output unit ignored."""
+    for sizes in [(1, 4, 2), (2, 4, 1)]:
+        with pytest.raises(ValueError, match="must start and end with 1"):
+            LayerPlan(sizes=sizes)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_model(LayerPlan(sizes=(1, 4, 1)), norm=NORM), str(path))
+    doc = json.loads(path.read_text())
+    doc["plan"]["sizes"] = [1, 4, 2]
+    doc["params"]["out.w"] = {"shape": [2, 4], "data": [0.5] * 8}
+    doc["params"]["out.b"] = {"shape": [2], "data": [0.0, 0.0]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"ckpt\.json: plan sizes \(1, 4, 2\)"):
+        load_checkpoint(str(path))
 
 
 def _same(a, b) -> bool:

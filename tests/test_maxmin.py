@@ -213,12 +213,12 @@ def test_newton_direction_equals_dense_reference_bit_for_bit(monkeypatch, m, k,
     direction = maxmin._newton_direction
     checked = []
 
-    def checked_direction(weight, sa, bs, sig, s, state, counter):
-        got = direction(weight, sa, bs, sig, s, state, counter)
+    def checked_direction(weight, sa, bs, sig, state, counter):
+        got = direction(weight, sa, bs, sig, state, counter)
         assert np.all(state[4] > 0.0) and np.all(state[1] > 0.0)  # interior
         terms = maxmin._newton_terms(weight, sa, bs, sig, state, NoCounter())
         dense = maxmin._dense_direction(sig, terms, NoCounter())
-        h, grad = dense_newton_system(weight, sa, bs, sig, s, state)
+        h, grad = dense_newton_system(weight, sa, bs, sig, state)
         delta = np.linalg.solve(h, -grad)
         slope = float(grad @ delta)
         assert slope < 0.0
@@ -247,9 +247,9 @@ def test_structured_newton_step_solves_the_dense_system(monkeypatch, m, k,
     direction = maxmin._newton_direction
     residuals = []
 
-    def checked_direction(weight, sa, bs, sig, s, state, counter):
-        got = direction(weight, sa, bs, sig, s, state, counter)
-        h, grad = dense_newton_system(weight, sa, bs, sig, s, state)
+    def checked_direction(weight, sa, bs, sig, state, counter):
+        got = direction(weight, sa, bs, sig, state, counter)
+        h, grad = dense_newton_system(weight, sa, bs, sig, state)
         delta = np.append(got[0].ravel(), got[1])
         residuals.append(np.linalg.norm(h @ delta + grad) / np.linalg.norm(grad))
         assert got[3] < 0.0
@@ -406,7 +406,7 @@ def test_a_hopeless_newton_system_falls_back_to_steepest_descent(monkeypatch):
     state = maxmin._state(sa, bs, sig, s)
     monkeypatch.setattr(maxmin.np.linalg, "solve", singular)
     counter = _LuCounter()
-    dsig, ds, grad, slope = maxmin._newton_direction(1.0, sa, bs, sig, s, state,
+    dsig, ds, grad, slope = maxmin._newton_direction(1.0, sa, bs, sig, state,
                                                      counter)
     assert (counter.newton_retries, counter.newton_fallbacks) == (7, 1)
     assert counter.lu_calls == 8

@@ -193,6 +193,26 @@ def test_resume_continues_bit_identically(labeled_4x2, tmp_path, monkeypatch):
         _metrics_rows(tmp_path / "killed")
 
 
+def test_resume_with_another_config_names_every_changed_field(labeled_4x2,
+                                                             tmp_path):
+    """Only epochs may change on resume: any other field would continue a
+    different run than the checkpoint's, so nothing is written."""
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+    tr, va = split_train_val(labeled_4x2, cfg)
+    train(tr, va, cfg, str(tmp_path / "run"))
+    ckpt = tmp_path / "run" / "checkpoints" / "epoch_002.json"
+    other = TrainConfig(epochs=3, batch_size=8, seed=9, lr=0.01)
+    with pytest.raises(ValueError) as exc:
+        train(tr, va, other, str(tmp_path / "resumed"), resume_from=str(ckpt))
+    message = str(exc.value)
+    assert message.startswith(f"{ckpt}: ")
+    for field in ("batch_size 8 (checkpoint 4)", "lr 0.01 (checkpoint 0.0007)",
+                  "seed 9 (checkpoint 5)"):
+        assert field in message
+    assert "epochs" not in message
+    assert not (tmp_path / "resumed").exists()
+
+
 def _metrics_rows(run_dir):
     """metrics.csv without the wall_ms column, which varies run to run."""
     lines = (Path(run_dir) / "metrics.csv").read_text().splitlines()
