@@ -1,5 +1,6 @@
 """Bisection solver against closed forms, the grid oracle, and baselines."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -192,6 +193,126 @@ def test_closed_bracket_with_unequal_sinrs_is_equalised():
         assert sol.t_star >= before
         oracle = brute_force_maxmin(sample.beta, grid_step=0.02)
         assert oracle.t_star <= sol.t_star
+
+
+def _sweep_draws() -> dict[str, np.ndarray]:
+    """66 named draws that reach every branch of the solver: four of each
+    small size and morphology at run seed 5 (17 of them take the
+    weak-channel start), one 16x5 and one 24x8 draw above the dense size
+    constant, and the four draws that end in equalisation passes."""
+    specs = [(m, k, morphology, 4)
+             for m, k in [(1, 1), (2, 3), (3, 2), (4, 3), (8, 3)]
+             for morphology in ("urban", "suburban", "rural")]
+    draws = {f"{s.num_aps}x{s.num_ues}:{s.morphology}#{i % 4}": s.beta
+             for i, s in enumerate(generate_unlabeled(specs, run_seed=5))}
+    draws["16x5:rural"] = fading_instance(16, 5, 7, "rural")
+    draws["24x8:suburban"] = fading_instance(24, 8, 4, "suburban")
+    pool = generate_unlabeled([(2, 3, "rural", 150)], run_seed=11)
+    equalised = (generate_unlabeled([(2, 3, "rural", 1)], run_seed=613675482)
+                 + [pool[i] for i in (76, 84, 128)])
+    for i, sample in enumerate(equalised):
+        draws[f"equalised#{i}"] = sample.beta
+    return draws
+
+
+_SWEEP_PINS = {
+    "1x1:urban#0": "64cfa7905361e7a0",
+    "1x1:urban#1": "5da99eb5c65fe2d2",
+    "1x1:urban#2": "4ca01b58ca1e2e0b",
+    "1x1:urban#3": "f4ddcc962837ca09",
+    "1x1:suburban#0": "b72f51b9e139fb0c",
+    "1x1:suburban#1": "27710470a6f14fe5",
+    "1x1:suburban#2": "eb9f76f292e2080c",
+    "1x1:suburban#3": "c7a00402e25c4e5b",
+    "1x1:rural#0": "f78b2eb5287d5efe",
+    "1x1:rural#1": "fc15e6f275d412b0",
+    "1x1:rural#2": "7d69fdd56e168931",
+    "1x1:rural#3": "b83c6da07e9f5d0b",
+    "2x3:urban#0": "5e03fc480de21cb8",
+    "2x3:urban#1": "243e07dce53dfe7d",
+    "2x3:urban#2": "a6b2782b6610e488",
+    "2x3:urban#3": "ddf9c6d3714ab5b2",
+    "2x3:suburban#0": "df13d4f3a073bfb2",
+    "2x3:suburban#1": "0207348dbbfb33c4",
+    "2x3:suburban#2": "71d958d882806792",
+    "2x3:suburban#3": "049fc40e61f3e164",
+    "2x3:rural#0": "4d092f201f05ee25",
+    "2x3:rural#1": "92118b39ca78f753",
+    "2x3:rural#2": "c1f09a4fecd5a7f2",
+    "2x3:rural#3": "3926770d223460d1",
+    "3x2:urban#0": "745ac01ad397d409",
+    "3x2:urban#1": "63f3acd6e41a2ccf",
+    "3x2:urban#2": "13288b0f8eb349ca",
+    "3x2:urban#3": "69267a4ced86d3b2",
+    "3x2:suburban#0": "638291fb005b65f9",
+    "3x2:suburban#1": "f9d067c778c34174",
+    "3x2:suburban#2": "23fef7a925607efc",
+    "3x2:suburban#3": "ccd54c453423c0be",
+    "3x2:rural#0": "749b1c4d96fa864f",
+    "3x2:rural#1": "52fb859af6addaaa",
+    "3x2:rural#2": "edb98f1b97510615",
+    "3x2:rural#3": "6c5bdd1acdfe217a",
+    "4x3:urban#0": "7e2238b550c581ff",
+    "4x3:urban#1": "9115602763712e6a",
+    "4x3:urban#2": "a0ccfbf006bb7e3b",
+    "4x3:urban#3": "a819ba0be56404fc",
+    "4x3:suburban#0": "651403f665739a48",
+    "4x3:suburban#1": "60039aad9321d17f",
+    "4x3:suburban#2": "ca24e73efe94ad1f",
+    "4x3:suburban#3": "47bd386be000d0f7",
+    "4x3:rural#0": "4fb5e7920d9ee391",
+    "4x3:rural#1": "78cce1cf8f9d787d",
+    "4x3:rural#2": "18bc176a05215677",
+    "4x3:rural#3": "5f85ea72cb8f36c0",
+    "8x3:urban#0": "5b21994a92e8bf63",
+    "8x3:urban#1": "8026e276e9415f1d",
+    "8x3:urban#2": "27c9db06e0fac929",
+    "8x3:urban#3": "689cb039d00f3e78",
+    "8x3:suburban#0": "5f1aae3f23303309",
+    "8x3:suburban#1": "6e0f7fd4d9287956",
+    "8x3:suburban#2": "4ddbbfabfc1e3bb9",
+    "8x3:suburban#3": "e0759df448d2c90f",
+    "8x3:rural#0": "e026a2590272c7a4",
+    "8x3:rural#1": "c2d59722ec591aa4",
+    "8x3:rural#2": "1e5fda9d33a76c68",
+    "8x3:rural#3": "20d1bd7f021e3dcc",
+    "16x5:rural": "003489299d2f9764",
+    "24x8:suburban": "540923c85c29c3af",
+    "equalised#0": "89f94e7a5cb8ee75",
+    "equalised#1": "994ca2d1cdf3d860",
+    "equalised#2": "de826f805a2cd4fc",
+    "equalised#3": "50135600840fee22",
+}
+
+
+def test_solver_bits_are_pinned_on_every_branch(monkeypatch):
+    """Each draw's t_star, iterations, converged flag, eta and sinr bytes,
+    FLOP tallies and Newton event counts, hashed to 16 hex digits.  A
+    failure lists the draws whose solve moved."""
+    margin_solve = maxmin._margin_solve
+    weak_starts = []
+
+    def recorded(sa, bs, t, counter, sig_init=None, full_center=False):
+        if sig_init is None and t != maxmin._T_FLOOR:
+            weak_starts.append(t)
+        return margin_solve(sa, bs, t, counter, sig_init=sig_init,
+                            full_center=full_center)
+
+    monkeypatch.setattr(maxmin, "_margin_solve", recorded)
+    got = {}
+    for name, beta in _sweep_draws().items():
+        counter = FlopCounter()
+        sol = solve_maxmin(beta, counter=counter)
+        digest = hashlib.sha256(repr((
+            sol.t_star.hex(), sol.iterations, sol.converged,
+            counter.multiplies, counter.adds, counter.newton_dense_fallbacks,
+            counter.newton_retries, counter.newton_fallbacks)).encode())
+        digest.update(sol.eta.tobytes())
+        digest.update(sol.sinr.tobytes())
+        got[name] = digest.hexdigest()[:16]
+    assert len(weak_starts) == 17
+    assert sorted(name for name in got if got[name] != _SWEEP_PINS.get(name)) == []
+    assert got.keys() == _SWEEP_PINS.keys()
 
 
 def test_solver_counts_flops_when_instrumented():
