@@ -97,7 +97,7 @@ def _cmd_train(args, parser) -> int:
     from .training import TrainConfig, split_train_val, train
     try:
         cfg = TrainConfig(**overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         parser.error(f"bad training config: {exc}")
     train_set, val_set = split_train_val(read_jsonl(args.data), cfg)
     model, history = train(train_set, val_set, cfg, args.out,

@@ -108,7 +108,8 @@ def _finite_field(doc: dict, key: str, size: int) -> np.ndarray:
 
 def sample_from_json(line: str) -> Sample:
     """Parse one JSONL record, rejecting M or K below 1, unknown morphologies,
-    wrong lengths, non-finite values, non-positive gains, negative powers."""
+    wrong lengths, non-finite values, non-positive gains or SINRs, and
+    negative powers."""
     doc = json.loads(line)
     m, k = int(doc["M"]), int(doc["K"])
     if m < 1 or k < 1:
@@ -125,6 +126,8 @@ def sample_from_json(line: str) -> Sample:
         if np.any(eta < 0):
             raise ValueError("eta_opt entries must be non-negative")
         sinr = _finite_field(doc, "sinr_opt", k)
+        if np.any(sinr <= 0):
+            raise ValueError("sinr_opt entries must be positive")
     return Sample(num_aps=m, num_ues=k, morphology=doc["morphology"],
                   seed=int(doc["seed"]), beta=beta, eta_opt=eta, sinr_opt=sinr)
 

@@ -335,18 +335,17 @@ def _dense_direction(sig: np.ndarray, terms: tuple, counter: FlopCounter
 
 
 def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
-            s: float, counter: FlopCounter) -> tuple[np.ndarray, float, tuple]:
-    """Newton iterations minimising the barrier at a fixed objective weight."""
+            s: float, counter: FlopCounter) -> tuple[np.ndarray, float]:
+    """Newton iterations minimising the barrier at a fixed objective weight;
+    they stop early when the line search finds no decrease."""
     state = _state(sa, bs, sig, s)
     phi = _phi(weight, s, state[4], state[1])
     for _ in range(_NEWTON_MAX_STEPS):
         dsig, ds, grad, slope = _newton_direction(weight, sa, bs, sig,
                                                   state, counter)
-        dec2 = -slope
-        if dec2 / 2.0 <= _NEWTON_DEC2_TOL:
+        if -slope / 2.0 <= _NEWTON_DEC2_TOL:
             break
         step = 1.0
-        accepted = False
         for _ in range(60):
             sig_n = sig + step * dsig
             s_n = s + step * ds
@@ -355,22 +354,19 @@ def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
             phi_n = _phi(weight, s_n, state_n[4], state_n[1])
             if phi_n <= phi + 0.01 * step * slope:
                 sig, s, state, phi = sig_n, s_n, state_n, phi_n
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-    return sig, s, state
+    return sig, s
 
 
 def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
                   counter: FlopCounter, sig_init: np.ndarray | None = None,
                   full_center: bool = False
-                  ) -> tuple[bool, np.ndarray | None, float]:
-    """Decide feasibility of SINR target t.
-
-    Returns (feasible, eta, achieved) where achieved is the exact worst-user
-    SINR of eta when feasible.  eta is None when infeasible.
+                  ) -> tuple[np.ndarray, float] | None:
+    """Decide feasibility of SINR target t: (eta, achieved) when feasible,
+    with achieved the exact worst-user SINR of eta, and None when not.
     """
     m_ap, k_ue = sa.shape
     n_constr = m_ap + k_ue
@@ -395,25 +391,22 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
 
     weight = n_constr / (0.25 * scale0)
     gap_floor = 1e-12 * scale0
-    best: tuple[bool, np.ndarray | None, float] | None = None
+    best = None
     while True:
-        sig, s, state = _center(weight, sa_t, bs, sig, s, counter)
+        sig, s = _center(weight, sa_t, bs, sig, s, counter)
         gap = n_constr / weight
-        if s > 0.0:
+        if s + 2.0 * gap < 0.0:
+            return None
+        # At the gap floor, a point with s <= 0 gets the exact recheck too,
+        # unless an earlier centring already passed it.
+        if s > 0.0 or (gap <= gap_floor and best is None):
             achieved = float(np.min(_sinr_scaled(sa, bs, sig)))
             if achieved >= t * (1.0 - _FEAS_TOL):
-                best = (True, sig * sig, achieved)
+                best = sig * sig, achieved
                 if not full_center or gap <= 1e-3 * max(abs(s), 1e-6 * scale0):
                     return best
-        elif s + 2.0 * gap < 0.0:
-            return False, None, s
         if gap <= gap_floor:
-            if best is not None:
-                return best
-            achieved = float(np.min(_sinr_scaled(sa, bs, sig)))
-            if achieved >= t * (1.0 - _FEAS_TOL):
-                return True, sig * sig, achieved
-            return False, None, s
+            return best
         weight *= _LOG_BARRIER_MU
 
 
@@ -464,10 +457,8 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
 
     hi = float(np.max(rho_d * np.sqrt(alpha).sum(axis=0) ** 2))
     lo = _T_FLOOR
-    feasible = False
-    if lo < hi:
-        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter)
-    if not feasible:
+    probe = _margin_solve(sa, bs, lo, counter) if lo < hi else None
+    if probe is None:
         eta_eq = equal_power(*beta.shape)
         t_eq = float(np.min(compute_sinr(beta, alpha, eta_eq, rho_d)))
         lo = 0.5 * t_eq
@@ -475,56 +466,46 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
             raise SolverError("equal power gives a user SINR 0 (its channel "
                               "estimate quality alpha underflows to 0), so "
                               "no allocation has a positive worst-user SINR")
-        feasible, eta, achieved = _margin_solve(sa, bs, lo, counter)
-        if not feasible:
-            # Equal power itself witnesses t_eq.
-            eta, achieved = eta_eq, t_eq
+        # Equal power itself witnesses t_eq.
+        probe = _margin_solve(sa, bs, lo, counter) or (eta_eq, t_eq)
+    eta, achieved = probe
     lo = min(max(lo, achieved), hi * (1.0 - 1e-12))
-    sig_warm = np.sqrt(eta)
 
     iterations = 0
     sinr = None
     while iterations < _MAX_BISECTION:
-        bracket_ok = (hi - lo) <= _REL_TOL * lo
-        if bracket_ok:
+        if (hi - lo) <= _REL_TOL * lo:
             if sinr is None:
-                # Polish: fully centred solve at the incumbent target.
-                ok, eta_f, achieved = _margin_solve(sa, bs, lo, counter,
-                                                    sig_init=sig_warm,
-                                                    full_center=True)
-                if ok:
-                    eta = eta_f
-                    sig_warm = np.sqrt(eta)
-                sinr = _sinr_scaled(sa, bs, sig_warm)
-            if _spread_ok(sinr):
-                break
-            if (hi - lo) <= 4.0 * np.finfo(float).eps * lo:
+                # Polish: fully centred solve at the incumbent target; if
+                # it fails, the incumbent stays.
+                eta, _ = _margin_solve(sa, bs, lo, counter,
+                                       sig_init=np.sqrt(eta),
+                                       full_center=True) or (eta, None)
+                sinr = _sinr_scaled(sa, bs, np.sqrt(eta))
+            if _spread_ok(sinr) or (hi - lo) <= 4.0 * np.finfo(float).eps * lo:
                 break
         mid = 0.5 * (lo + hi)
         near_end = (hi - lo) <= 16.0 * _REL_TOL * lo
-        feasible, eta_mid, achieved = _margin_solve(sa, bs, mid, counter,
-                                                    sig_init=sig_warm,
-                                                    full_center=near_end)
+        probe = _margin_solve(sa, bs, mid, counter, sig_init=np.sqrt(eta),
+                              full_center=near_end)
         iterations += 1
-        if feasible:
-            eta = eta_mid
-            sig_warm = np.sqrt(eta)
-            lo = min(max(mid, achieved), hi * (1.0 - 1e-12))
-            sinr = _sinr_scaled(sa, bs, sig_warm) if near_end else None
-        else:
+        if probe is None:
             hi = mid
             sinr = None
+        else:
+            eta, achieved = probe
+            lo = min(max(mid, achieved), hi * (1.0 - 1e-12))
+            sinr = _sinr_scaled(sa, bs, np.sqrt(eta)) if near_end else None
 
     if sinr is None:
-        sinr = _sinr_scaled(sa, bs, sig_warm)
+        sinr = _sinr_scaled(sa, bs, np.sqrt(eta))
     bracket_ok = (hi - lo) <= _REL_TOL * lo
     for _ in range(_EQUALISE_PASSES):
         if not bracket_ok or _spread_ok(sinr):
             break
         eta = eta * np.minimum(1.0, float(np.min(sinr)) / sinr)
         sinr = _sinr_scaled(sa, bs, np.sqrt(eta))
-    converged = bracket_ok and _spread_ok(sinr)
-    t_star = float(np.min(sinr))
-    sinr_exact = compute_sinr(beta, alpha, eta, rho_d)
-    return MaxMinSolution(t_star=t_star, eta=eta, sinr=sinr_exact,
-                          iterations=iterations, converged=converged)
+    return MaxMinSolution(t_star=float(np.min(sinr)), eta=eta,
+                          sinr=compute_sinr(beta, alpha, eta, rho_d),
+                          iterations=iterations,
+                          converged=bracket_ok and _spread_ok(sinr))

@@ -57,10 +57,26 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+        for name in ("lr", "beta1", "beta2", "eps"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"not {value!r}")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -300,10 +316,13 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
             writer.writerow([epoch, repr(train_loss), repr(val_loss),
                              f"{wall_ms:.1f}"])
             metrics_fh.flush()
-            improved = val_loss < best_val     # never true without a val set
+            # Without validation rows every epoch counts as improved, so
+            # best.json is the latest epoch.
+            improved = not val_buckets or val_loss < best_val
             if improved:
                 best_val = val_loss
-            # JSON has no infinity: null stands for "no validation loss yet".
+            # JSON has no infinity or NaN: null stands for "no validation
+            # loss yet" or "no validation rows".
             extra = {"epoch": epoch, "adam_t": opt.t,
                      "best_val": best_val if math.isfinite(best_val) else None}
             extra_arrays = {}

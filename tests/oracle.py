@@ -231,9 +231,8 @@ def feasibility_check(beta: np.ndarray, t: float) -> np.ndarray | None:
         raise ValueError("target t must be positive")
     beta = np.asarray(beta, dtype=float)
     alpha, rho_d = link(beta)
-    feasible, eta, _ = _margin_solve(np.sqrt(rho_d * alpha), rho_d * beta, t,
-                                     NoCounter())
-    return eta if feasible else None
+    probe = _margin_solve(np.sqrt(rho_d * alpha), rho_d * beta, t, NoCounter())
+    return None if probe is None else probe[0]
 
 
 def upper_bound_sinr(beta: np.ndarray) -> float:

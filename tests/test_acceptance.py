@@ -236,6 +236,7 @@ def test_criterion_7_flop_scaling_and_counts():
              f"at 128x32 (gate [0.5, 2]); solver/gnn {speedup:.0f}x (gate 5x)")
 
 
+@pytest.mark.slow
 def test_criterion_8_training_closes_most_of_the_gap(tmp_path):
     """End-to-end training gate at 8 APs, 3 users.
 

@@ -172,6 +172,33 @@ def test_train_config_with_removed_key_is_usage_error(tmp_path, capsys):
     assert "bad training config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"epochs": 1.5},
+    {"batch_size": 8.5, "epochs": 1},
+    {"seed": 1.5, "epochs": 1},
+    {"epochs": True},
+    {"lr": -1},
+    {"beta1": 1.0},
+    {"eps": 0.0},
+])
+def test_train_config_with_bad_value_is_usage_error(tmp_path, capsys,
+                                                    labeled_4x2, config):
+    """A wrong type or an out-of-range value fails before training starts,
+    not as a traceback, a non-finite loss or a silent bool-as-int."""
+    from cfgnn.data import write_jsonl
+
+    data = tmp_path / "labeled.jsonl"
+    write_jsonl(labeled_4x2, str(data))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "1", "train", "--data", str(data),
+              "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "bad training config" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_malformed_dataset_exits_one_with_line_number(tmp_path, capsys):
     from cfgnn.model import init_model, save_checkpoint
 

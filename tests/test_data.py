@@ -179,6 +179,17 @@ def test_read_jsonl_rejects_negative_eta(tmp_path, labeled_4x2):
         read_jsonl(path)
 
 
+@pytest.mark.parametrize("values", [[0.0, 0.0], [-2.0, 0.5]])
+def test_read_jsonl_rejects_nonpositive_sinr(tmp_path, labeled_4x2, values):
+    """The solver never labels a zero SINR (it raises SolverError), so such
+    a label is corrupt and must not reach eval's log2 or the trainer."""
+    def corrupt(doc):
+        doc["sinr_opt"] = values
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: sinr_opt entries must be positive"):
+        read_jsonl(path)
+
+
 def test_read_jsonl_rejects_unknown_morphology(tmp_path, labeled_4x2):
     def corrupt(doc):
         doc["morphology"] = "desert"

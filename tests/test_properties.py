@@ -86,7 +86,8 @@ def samples(draw):
     if draw(st.booleans()):
         sample.eta_opt = draw(arrays(float, (m, k), elements=st.floats(
             min_value=0.0, allow_infinity=False)))
-        sample.sinr_opt = draw(arrays(float, (k,), elements=finite))
+        sample.sinr_opt = draw(arrays(float, (k,), elements=st.floats(
+            min_value=0.0, exclude_min=True, allow_infinity=False)))
     return sample
 
 

@@ -245,6 +245,21 @@ def test_rerun_reproduces_checkpoints_bytewise(labeled_4x2, tmp_path):
                (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_run_without_validation_rows_keeps_its_latest_epoch_as_best(
+        labeled_4x2, tmp_path):
+    """With no validation rows every epoch counts as improved: best.json is
+    the last epoch's model, and best_val stays null."""
+    cfg = TrainConfig(epochs=2, batch_size=8, seed=4, val_fraction=0.0)
+    tr, va = split_train_val(labeled_4x2, cfg)
+    assert va == []
+    model, _ = train(tr, va, cfg, str(tmp_path / "run"))
+    best, rest = load_checkpoint(str(tmp_path / "run" / "best.json"))
+    assert rest["extra"]["epoch"] == 2
+    assert rest["extra"]["best_val"] is None
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(best.params[name], p, err_msg=name)
+
+
 def test_train_rejects_unlabeled_and_empty(labeled_4x2):
     cfg = TrainConfig(epochs=1)
     with pytest.raises(ValueError):
