@@ -75,7 +75,7 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if not self.eps > 0:
+        if self.eps <= 0:
             raise ValueError("eps must be > 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
