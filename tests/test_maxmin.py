@@ -287,6 +287,98 @@ _SWEEP_PINS = {
 }
 
 
+# One label-only digest per draw of `_sweep_draws`, measured with numpy
+# 2.4.6; see test_solver_labels_are_pinned_on_every_branch.
+_LABEL_PINS = {
+    "1x1:urban#0": "0c4dc73bc329c1a3",
+    "1x1:urban#1": "e8833fb0f4538b32",
+    "1x1:urban#2": "8af0d8ba58f4ae73",
+    "1x1:urban#3": "a3897676bebc0e99",
+    "1x1:suburban#0": "7211d73ede5b9258",
+    "1x1:suburban#1": "741b072032ada484",
+    "1x1:suburban#2": "6fa7faa14e35e870",
+    "1x1:suburban#3": "b60f6a37e7b421c8",
+    "1x1:rural#0": "346501ea56a39a11",
+    "1x1:rural#1": "bfb47499ff3d67f1",
+    "1x1:rural#2": "693c237392c31195",
+    "1x1:rural#3": "31c6188669379ad3",
+    "2x3:urban#0": "5bccf5e491cde73b",
+    "2x3:urban#1": "e48d8cdad8593a9b",
+    "2x3:urban#2": "dcf2f5d57013ef95",
+    "2x3:urban#3": "130198daeecfa605",
+    "2x3:suburban#0": "b6b1b97e106f2d2f",
+    "2x3:suburban#1": "46e043b6a81956a6",
+    "2x3:suburban#2": "d0bb8594ada9ab97",
+    "2x3:suburban#3": "e62cab59c9df2d0c",
+    "2x3:rural#0": "34dafe2c6c169cf1",
+    "2x3:rural#1": "02ee0105b9dd0cbb",
+    "2x3:rural#2": "26a8fcd130a345f3",
+    "2x3:rural#3": "c13c939df0476afb",
+    "3x2:urban#0": "53fcf576fe72d263",
+    "3x2:urban#1": "77f5bb2a1eb118d2",
+    "3x2:urban#2": "c352d657b59e65ef",
+    "3x2:urban#3": "c4b3c51d745ab34c",
+    "3x2:suburban#0": "ecea66bf13d16eac",
+    "3x2:suburban#1": "e07921bd6c8de94a",
+    "3x2:suburban#2": "2c1d840ddd8c43fb",
+    "3x2:suburban#3": "3907faf0f12767c0",
+    "3x2:rural#0": "1602d659cdc6ea4c",
+    "3x2:rural#1": "59642821080101a3",
+    "3x2:rural#2": "128ffe64849fc1e3",
+    "3x2:rural#3": "5064ad39425c8d07",
+    "4x3:urban#0": "3e70080c01d414ea",
+    "4x3:urban#1": "6d08bfdc8fda30b7",
+    "4x3:urban#2": "5b98f86b07350bf4",
+    "4x3:urban#3": "d445505b513cc2ff",
+    "4x3:suburban#0": "318f2c5a5c4821c9",
+    "4x3:suburban#1": "679316e17da5cd1b",
+    "4x3:suburban#2": "f7daa71099176b12",
+    "4x3:suburban#3": "e2d0c41ec03701e7",
+    "4x3:rural#0": "983dce185191b527",
+    "4x3:rural#1": "51273c7ca6f38d3e",
+    "4x3:rural#2": "79c518f2e4562d7d",
+    "4x3:rural#3": "9c563d60d09830ff",
+    "8x3:urban#0": "8f52287ba7dc6a94",
+    "8x3:urban#1": "35f48a89aaec952e",
+    "8x3:urban#2": "5312b8d69d5f4a9c",
+    "8x3:urban#3": "1e4110bb63c42d4e",
+    "8x3:suburban#0": "4407b707da2040a2",
+    "8x3:suburban#1": "515093060d3c5151",
+    "8x3:suburban#2": "69d837d341a99984",
+    "8x3:suburban#3": "8be460e9e7cb801f",
+    "8x3:rural#0": "e1d808081b206cb4",
+    "8x3:rural#1": "7e9796b99a000759",
+    "8x3:rural#2": "7752a92e535e0f64",
+    "8x3:rural#3": "fba48fa1743dff80",
+    "16x5:rural": "0e2f130757e9845c",
+    "24x8:suburban": "28af02e6d399da25",
+    "equalised#0": "4d7cba99c27da6b5",
+    "equalised#1": "07e3a53f21532413",
+    "equalised#2": "048daf99bccd5eeb",
+    "equalised#3": "e2f93704387209ad",
+}
+
+
+def _solution_digest(sol, counts: tuple = ()) -> str:
+    """16 hex digits of the sha256 over t_star, iterations, the converged
+    flag and `counts`, then the bytes of eta and sinr."""
+    digest = hashlib.sha256(repr((sol.t_star.hex(), sol.iterations,
+                                  sol.converged) + counts).encode())
+    digest.update(sol.eta.tobytes())
+    digest.update(sol.sinr.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_solver_labels_are_pinned_on_every_branch():
+    """Each draw's label alone: t_star, iterations, converged flag, eta and
+    sinr bytes, with no work count, so a change that only skips work passes
+    it unchanged.  A failure lists the draws whose label moved."""
+    got = {name: _solution_digest(solve_maxmin(beta))
+           for name, beta in _sweep_draws().items()}
+    assert sorted(name for name in got if got[name] != _LABEL_PINS.get(name)) == []
+    assert got.keys() == _LABEL_PINS.keys()
+
+
 def test_solver_bits_are_pinned_on_every_branch(monkeypatch):
     """Each draw's t_star, iterations, converged flag, eta and sinr bytes,
     FLOP tallies and Newton event counts, hashed to 16 hex digits.  A
@@ -305,13 +397,9 @@ def test_solver_bits_are_pinned_on_every_branch(monkeypatch):
     for name, beta in _sweep_draws().items():
         counter = FlopCounter()
         sol = solve_maxmin(beta, counter=counter)
-        digest = hashlib.sha256(repr((
-            sol.t_star.hex(), sol.iterations, sol.converged,
+        got[name] = _solution_digest(sol, (
             counter.multiplies, counter.adds, counter.newton_dense_fallbacks,
-            counter.newton_retries, counter.newton_fallbacks)).encode())
-        digest.update(sol.eta.tobytes())
-        digest.update(sol.sinr.tobytes())
-        got[name] = digest.hexdigest()[:16]
+            counter.newton_retries, counter.newton_fallbacks))
     assert len(weak_starts) == 17
     assert sorted(name for name in got if got[name] != _SWEEP_PINS.get(name)) == []
     assert got.keys() == _SWEEP_PINS.keys()
