@@ -27,16 +27,19 @@ from dataclasses import dataclass
 
 @dataclass
 class FlopCounter:
-    """Mutable tally of multiplies and adds, plus the solver's silent Newton
-    events: structured steps that failed and went to the dense step,
-    regularised retries of a singular or non-descent dense system, and
-    steepest-descent fallbacks once every retry failed."""
+    """Mutable tally of multiplies and adds, plus the solver's silent
+    events: Newton systems solved, structured steps that failed and went to
+    the dense step, regularised retries of a singular or non-descent dense
+    system, steepest-descent fallbacks once every retry failed, and
+    feasibility probes answered by the SINR bound without a Newton system."""
 
     multiplies: int = 0
     adds: int = 0
+    newton_systems: int = 0
     newton_dense_fallbacks: int = 0
     newton_retries: int = 0
     newton_fallbacks: int = 0
+    probes_certified: int = 0
 
     @property
     def total(self) -> int:

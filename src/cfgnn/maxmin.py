@@ -24,6 +24,16 @@ Maximising the margin rather than merely finding any interior point makes
 the final allocation equalise the user SINRs, which is what the true
 max-min optimum does.
 
+Before any Newton system, a feasibility test compares t with a closed-form
+bound on the worst-user SINR (_sinr_cap): user k alone at full power, and
+Cauchy-Schwarz with only user k's own power as interference.  A target
+above it is answered "infeasible" at once.  The bisection opens its bracket
+at the interference-free bound, hundreds to tens of thousands of times
+above the optimum, so its first probes are of this kind.  The answer is the
+one the barrier gives: above the bound no allocation passes the exact
+recheck, so the bisection takes the same steps and every label keeps its
+bits; only the work counted falls.
+
 Each Newton system has MK+1 unknowns.  Up to _DENSE_MAX_N of them it is
 solved by LU of the dense Hessian; above that, through the Hessian's
 structure (block-diagonal plus rank 2K plus the margin's border) in
@@ -160,6 +170,7 @@ def _newton_direction(weight: float, sa: np.ndarray, bs: np.ndarray,
     Above _DENSE_MAX_N unknowns the system is solved with its structure; a
     system that the structured step cannot solve goes to the dense step.
     """
+    counter.newton_systems += 1
     terms = _newton_terms(weight, sa, bs, sig, state, counter)
     if sig.size > _DENSE_MAX_N:
         step = _structured_direction(sig, state[0], terms, counter)
@@ -367,7 +378,16 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
                   ) -> tuple[np.ndarray, float] | None:
     """Decide feasibility of SINR target t: (eta, achieved) when feasible,
     with achieved the exact worst-user SINR of eta, and None when not.
+
+    A target with t (1 - 2 _FEAS_TOL) above _sinr_cap gets None before any
+    centring, counted in counter.probes_certified.  No allocation reaches
+    an SINR above the bound, so none could pass the recheck
+    achieved >= t (1 - _FEAS_TOL) below; the factor 2 leaves room for the
+    rounding of both sides.  The barrier would have answered None too.
     """
+    if t * (1.0 - 2.0 * _FEAS_TOL) > _sinr_cap(sa, bs, counter):
+        counter.probes_certified += 1
+        return None
     m_ap, k_ue = sa.shape
     n_constr = m_ap + k_ue
     # Work with gains divided by sqrt(t): the cone margins are then measured
@@ -410,6 +430,23 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
         weight *= _LOG_BARRIER_MU
 
 
+def _sinr_cap(sa: np.ndarray, bs: np.ndarray, counter: FlopCounter) -> float:
+    """A worst-user SINR that no allocation exceeds.
+
+    SINR_k = (sum_m sa[m,k] sigma[m,k])^2 / (1 + sum_m bs[m,k] r[m]) with
+    sigma[m,k] <= 1 and r[m] >= sigma[m,k]^2, so SINR_k is at most
+    (sum_m sa[m,k])^2 (full power, no interference) and, by Cauchy-Schwarz,
+    sum_m sa[m,k]^2 / bs[m,k] (only user k's own power as interference).
+    The bound is the least of the two over k.  A zero bs[m,k] comes with a
+    zero sa[m,k] and adds nothing."""
+    m_ap, k_ue = sa.shape
+    alone = sa.sum(axis=0) ** 2
+    own = np.divide(sa * sa, bs, out=np.zeros_like(sa), where=bs > 0.0)
+    counter.mul(2 * m_ap * k_ue + k_ue)                # sa^2 / bs, squares
+    counter.add(2 * m_ap * k_ue)                       # two column sums
+    return float(np.min(np.minimum(alone, own.sum(axis=0))))
+
+
 def _sinr_scaled(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Exact per-user SINRs of eta = sigma**2 in the rho-scaled variables."""
     num = np.einsum("mk,mk->k", sa, np.abs(sig))
@@ -437,6 +474,9 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     allocation reaches.  When the floor is not below U, or is out of reach,
     half the worst SINR of equal power (always admissible) is the lower
     bracket instead.
+    Probes above the closed-form bound of _sinr_cap are answered
+    infeasible without a Newton system: the answer the barrier would give,
+    so the steps and the returned bits are those of a full solve.
     Bisection maintains a feasible incumbent allocation; each feasible probe
     raises the lower bracket to the SINR its allocation actually achieves,
     which typically saves several iterations.  The final allocation comes

@@ -23,6 +23,8 @@ package:
   target SINR, over `maxmin._margin_solve`.
 * `upper_bound_sinr`: the interference-free bound that `solve_maxmin`
   starts its bisection bracket from.
+* `sinr_cap`: the worst-user SINR bound that answers far-infeasible
+  feasibility probes, in beta's unscaled terms.
 * `brute_force_maxmin`: the exhaustive grid-search oracle for small
   instances, which the solver's optimum is held to within grid resolution.
 * `gnn_forward_flops`: the network's forward-pass FLOPs in closed form,
@@ -47,7 +49,7 @@ import numpy as np
 from cfgnn.channel import draw_fading
 from cfgnn.engine import _MASK_VALUE
 from cfgnn.flops import FlopCounter, NoCounter
-from cfgnn.maxmin import MaxMinSolution, _margin_solve
+from cfgnn.maxmin import MaxMinSolution, _margin_solve, _sinr_cap
 from cfgnn.sinr import Link, compute_sinr, link
 
 
@@ -239,6 +241,13 @@ def upper_bound_sinr(beta: np.ndarray) -> float:
     """max_k rho_d * (sum_m sqrt(alpha[m, k]))**2, an unreachable target."""
     alpha, rho_d = link(np.asarray(beta, dtype=float))
     return float(np.max(rho_d * np.sqrt(alpha).sum(axis=0) ** 2))
+
+
+def sinr_cap(beta: np.ndarray) -> float:
+    """`maxmin._sinr_cap` at beta: a worst-user SINR no allocation exceeds."""
+    beta = np.asarray(beta, dtype=float)
+    alpha, rho_d = link(beta)
+    return _sinr_cap(np.sqrt(rho_d * alpha), rho_d * beta, NoCounter())
 
 
 # ---------------------------------------------------------------------------

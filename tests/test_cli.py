@@ -21,7 +21,7 @@ FIXTURE_RUN_SHA256 = {
     "run/checkpoints/epoch_004.json":
         "d43ecda75996bb52d22e193b00caea171464c1a7fb15c87b579653f476a1533a",
     "reports/summary.csv":
-        "650a11db372f2b6e0719cbe07e88213dc4630d8dedd7641182f775b4218d94a0",
+        "6649013bdc9bbd190c5bfe03c5ead8ab254e1f17287e0eb7d2fe9894944503dc",
     "reports/cdf_8x3_urban.csv":
         "63dbfdbd7c0a4dbf838dde83f3fd7d2fa7c9251616e54c2f297df5f026f0049f",
 }

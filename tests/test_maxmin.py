@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from oracle import (
     dense_newton_system,
     fading_instance,
     feasibility_check,
+    sinr_cap,
     subprocess_env,
     upper_bound_sinr,
 )
@@ -173,6 +175,25 @@ def test_underflowing_channel_raises():
         solve_maxmin(beta)
 
 
+def test_sinr_cap_takes_zero_channel_gains_without_nan_or_warning():
+    """beta >= 0 admits zeros.  A zero gain adds nothing to the bound (its
+    0/0 is never formed); a user with no gain at all has bound 0, so every
+    probe is answered at once and the solve raises as before."""
+    beta = fading_instance(3, 2, 5)
+    beta[0, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cap = sinr_cap(beta)
+        sol = solve_maxmin(beta)
+        assert np.isfinite(cap) and cap >= sol.t_star
+        beta[:, 1] = 0.0
+        assert sinr_cap(beta) == 0.0
+        counter = FlopCounter()
+        with pytest.raises(SolverError, match="SINR 0"):
+            solve_maxmin(beta, counter=counter)
+    assert (counter.probes_certified, counter.newton_systems) == (1, 0)
+
+
 def test_closed_bracket_with_unequal_sinrs_is_equalised():
     """2x3 rural draws whose bracket closes while the bisection never passes
     its spread test: one at run seed 613675482, and draws 76, 84 and 128 of
@@ -218,72 +239,72 @@ def _sweep_draws() -> dict[str, np.ndarray]:
 # One digest per draw of `_sweep_draws`, measured with numpy 2.4.6; see
 # test_solver_bits_are_pinned_on_every_branch for what it covers.
 _SWEEP_PINS = {
-    "1x1:urban#0": "64cfa7905361e7a0",
-    "1x1:urban#1": "5da99eb5c65fe2d2",
-    "1x1:urban#2": "4ca01b58ca1e2e0b",
-    "1x1:urban#3": "f4ddcc962837ca09",
-    "1x1:suburban#0": "b72f51b9e139fb0c",
-    "1x1:suburban#1": "27710470a6f14fe5",
-    "1x1:suburban#2": "eb9f76f292e2080c",
-    "1x1:suburban#3": "c7a00402e25c4e5b",
-    "1x1:rural#0": "f78b2eb5287d5efe",
-    "1x1:rural#1": "fc15e6f275d412b0",
-    "1x1:rural#2": "7d69fdd56e168931",
-    "1x1:rural#3": "b83c6da07e9f5d0b",
-    "2x3:urban#0": "5e03fc480de21cb8",
-    "2x3:urban#1": "243e07dce53dfe7d",
-    "2x3:urban#2": "a6b2782b6610e488",
-    "2x3:urban#3": "ddf9c6d3714ab5b2",
-    "2x3:suburban#0": "df13d4f3a073bfb2",
-    "2x3:suburban#1": "0207348dbbfb33c4",
-    "2x3:suburban#2": "71d958d882806792",
-    "2x3:suburban#3": "049fc40e61f3e164",
-    "2x3:rural#0": "4d092f201f05ee25",
-    "2x3:rural#1": "92118b39ca78f753",
-    "2x3:rural#2": "c1f09a4fecd5a7f2",
-    "2x3:rural#3": "3926770d223460d1",
-    "3x2:urban#0": "745ac01ad397d409",
-    "3x2:urban#1": "63f3acd6e41a2ccf",
-    "3x2:urban#2": "13288b0f8eb349ca",
-    "3x2:urban#3": "69267a4ced86d3b2",
-    "3x2:suburban#0": "638291fb005b65f9",
-    "3x2:suburban#1": "f9d067c778c34174",
-    "3x2:suburban#2": "23fef7a925607efc",
-    "3x2:suburban#3": "ccd54c453423c0be",
-    "3x2:rural#0": "749b1c4d96fa864f",
-    "3x2:rural#1": "52fb859af6addaaa",
-    "3x2:rural#2": "edb98f1b97510615",
-    "3x2:rural#3": "6c5bdd1acdfe217a",
-    "4x3:urban#0": "7e2238b550c581ff",
-    "4x3:urban#1": "9115602763712e6a",
-    "4x3:urban#2": "a0ccfbf006bb7e3b",
-    "4x3:urban#3": "a819ba0be56404fc",
-    "4x3:suburban#0": "651403f665739a48",
-    "4x3:suburban#1": "60039aad9321d17f",
-    "4x3:suburban#2": "ca24e73efe94ad1f",
-    "4x3:suburban#3": "47bd386be000d0f7",
-    "4x3:rural#0": "4fb5e7920d9ee391",
-    "4x3:rural#1": "78cce1cf8f9d787d",
-    "4x3:rural#2": "18bc176a05215677",
-    "4x3:rural#3": "5f85ea72cb8f36c0",
-    "8x3:urban#0": "5b21994a92e8bf63",
-    "8x3:urban#1": "8026e276e9415f1d",
-    "8x3:urban#2": "27c9db06e0fac929",
-    "8x3:urban#3": "689cb039d00f3e78",
-    "8x3:suburban#0": "5f1aae3f23303309",
-    "8x3:suburban#1": "6e0f7fd4d9287956",
-    "8x3:suburban#2": "4ddbbfabfc1e3bb9",
-    "8x3:suburban#3": "e0759df448d2c90f",
-    "8x3:rural#0": "e026a2590272c7a4",
-    "8x3:rural#1": "c2d59722ec591aa4",
-    "8x3:rural#2": "1e5fda9d33a76c68",
-    "8x3:rural#3": "20d1bd7f021e3dcc",
-    "16x5:rural": "003489299d2f9764",
-    "24x8:suburban": "540923c85c29c3af",
-    "equalised#0": "89f94e7a5cb8ee75",
-    "equalised#1": "994ca2d1cdf3d860",
-    "equalised#2": "de826f805a2cd4fc",
-    "equalised#3": "50135600840fee22",
+    "1x1:urban#0": "6fc1a0217dfc2088",
+    "1x1:urban#1": "fe390cb6ff85cc2b",
+    "1x1:urban#2": "ee45cee079e3e3ab",
+    "1x1:urban#3": "7bdf2036f31e1f66",
+    "1x1:suburban#0": "937f16d77f3eb342",
+    "1x1:suburban#1": "249ab2aacb0c1032",
+    "1x1:suburban#2": "1483505182b6a41a",
+    "1x1:suburban#3": "ac2485d4884b8b7d",
+    "1x1:rural#0": "1446403a7179d5ca",
+    "1x1:rural#1": "f35fde498b86a6de",
+    "1x1:rural#2": "ea342c48a2b535d8",
+    "1x1:rural#3": "457e7611d07fad1b",
+    "2x3:urban#0": "54b1fcac58b74532",
+    "2x3:urban#1": "a6c12923bb492391",
+    "2x3:urban#2": "b1e466e3619e65a6",
+    "2x3:urban#3": "8866356347eda92a",
+    "2x3:suburban#0": "f1ba981e130a5369",
+    "2x3:suburban#1": "7dcf8fc9c6444f40",
+    "2x3:suburban#2": "06e72b8bd612dfbe",
+    "2x3:suburban#3": "6fcde7c366e98576",
+    "2x3:rural#0": "5770f7f0b6d77cdb",
+    "2x3:rural#1": "917df9c656d46de5",
+    "2x3:rural#2": "992c3b71c9aeb249",
+    "2x3:rural#3": "c734c6b9f0de67f8",
+    "3x2:urban#0": "a603246f2bbd711e",
+    "3x2:urban#1": "d13e9fa6a345e09b",
+    "3x2:urban#2": "2ab07a667ff23cef",
+    "3x2:urban#3": "9e6c04598edbcaf4",
+    "3x2:suburban#0": "fd48b665c552ef26",
+    "3x2:suburban#1": "08853005c94e3ea4",
+    "3x2:suburban#2": "54ece98a56714888",
+    "3x2:suburban#3": "8dd44850c2d29ad0",
+    "3x2:rural#0": "6b9fd04b4486eb8a",
+    "3x2:rural#1": "f55cc81ecdaff696",
+    "3x2:rural#2": "e42b1bf2d884f988",
+    "3x2:rural#3": "cc738a05aa7518ec",
+    "4x3:urban#0": "4607ab3a4e6152fc",
+    "4x3:urban#1": "533412e0740deab6",
+    "4x3:urban#2": "dba0c0dab4f29d43",
+    "4x3:urban#3": "fef54f2e2706513f",
+    "4x3:suburban#0": "cbf211cc5b7f919e",
+    "4x3:suburban#1": "cae8c2462fe76cf9",
+    "4x3:suburban#2": "e7a5ad0b5b54a1d6",
+    "4x3:suburban#3": "2b58649b902b1152",
+    "4x3:rural#0": "19c90ddd95fbcb4d",
+    "4x3:rural#1": "3104a44b6678cdb3",
+    "4x3:rural#2": "bf847280d7cf1386",
+    "4x3:rural#3": "cbc71a8f3fcc29d9",
+    "8x3:urban#0": "fd5bafd3221078c5",
+    "8x3:urban#1": "53c13e2a81beec7d",
+    "8x3:urban#2": "ee3fea8c27a69c4d",
+    "8x3:urban#3": "db2c395aec4637e7",
+    "8x3:suburban#0": "59ae7a931989ed22",
+    "8x3:suburban#1": "c805cdfc6fd66f65",
+    "8x3:suburban#2": "e9fbc1c0256dfb1b",
+    "8x3:suburban#3": "3109881d36fb6822",
+    "8x3:rural#0": "070ed9871b86c995",
+    "8x3:rural#1": "899c245718cebc8a",
+    "8x3:rural#2": "ee043dfe3040c665",
+    "8x3:rural#3": "fa1e46c712627829",
+    "16x5:rural": "6220a52092a7773b",
+    "24x8:suburban": "17a84c1a9e6c1a02",
+    "equalised#0": "fa9db684937663d1",
+    "equalised#1": "fdd063ebb58d166f",
+    "equalised#2": "5bf897eeb007194c",
+    "equalised#3": "9feeaa36f1490ee5",
 }
 
 
@@ -381,8 +402,9 @@ def test_solver_labels_are_pinned_on_every_branch():
 
 def test_solver_bits_are_pinned_on_every_branch(monkeypatch):
     """Each draw's t_star, iterations, converged flag, eta and sinr bytes,
-    FLOP tallies and Newton event counts, hashed to 16 hex digits.  A
-    failure lists the draws whose solve moved."""
+    FLOP tallies, Newton event counts and probes certified by the SINR
+    bound, hashed to 16 hex digits.  A failure lists the draws whose solve
+    moved."""
     margin_solve = maxmin._margin_solve
     weak_starts = []
 
@@ -398,8 +420,9 @@ def test_solver_bits_are_pinned_on_every_branch(monkeypatch):
         counter = FlopCounter()
         sol = solve_maxmin(beta, counter=counter)
         got[name] = _solution_digest(sol, (
-            counter.multiplies, counter.adds, counter.newton_dense_fallbacks,
-            counter.newton_retries, counter.newton_fallbacks))
+            counter.multiplies, counter.adds, counter.newton_systems,
+            counter.newton_dense_fallbacks, counter.newton_retries,
+            counter.newton_fallbacks, counter.probes_certified))
     assert len(weak_starts) == 17
     assert sorted(name for name in got if got[name] != _SWEEP_PINS.get(name)) == []
     assert got.keys() == _SWEEP_PINS.keys()
@@ -530,21 +553,25 @@ class Counter(FlopCounter):
 
 solve_maxmin(generate_unlabeled([(8, 3, "urban", 1)], run_seed=1)[0].beta)
 beta = generate_unlabeled([(32, 9, "urban", 1)], run_seed=2017)[0].beta
-systems = []
-direction = maxmin._newton_direction
+calls = {"systems": 0, "probes": 0}
 
-def counted(*args):
-    systems.append(1)
-    return direction(*args)
+def tallied(name, function):
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+    return call
 
-maxmin._newton_direction = counted
+maxmin._newton_direction = tallied("systems", maxmin._newton_direction)
+maxmin._margin_solve = tallied("probes", maxmin._margin_solve)
 counter = Counter()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 sol = solve_maxmin(beta, counter=counter)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(json.dumps({"t_star": sol.t_star, "iterations": sol.iterations,
                   "eta_sha256": hashlib.sha256(sol.eta.tobytes()).hexdigest(),
-                  "lu_calls": counter.lu_calls, "systems": len(systems),
+                  "lu_calls": counter.lu_calls, **calls,
+                  "newton_systems": counter.newton_systems,
+                  "probes_certified": counter.probes_certified,
                   "dense_fallbacks": counter.newton_dense_fallbacks,
                   "minflt": faults}))
 """
@@ -552,12 +579,14 @@ print(json.dumps({"t_star": sol.t_star, "iterations": sol.iterations,
 
 def test_benchmark_32x9_instance_golden_and_fault_budget():
     """The benchmark's label-32x9 instance, solved in a fresh one-BLAS-thread
-    process after a warm-up 8x3 solve: golden bits and Newton systems, and a
-    fault budget.  32x9 is above the size constant, so every system takes
-    the structured step, and the LU calls are its 2K x 2K capacitance
-    solves: one per system plus one per refinement correction.  The dense
-    step gave t_star = 2.186903999942864 in 24 bisection steps and 847
-    systems.
+    process after a warm-up 8x3 solve: golden bits, work counts and a fault
+    budget.  32x9 is above the size constant, so every system takes the
+    structured step, and the LU calls are its 2K x 2K capacitance solves:
+    one per system plus one per refinement correction.  11 of the 25
+    feasibility probes lie above the SINR bound and solve no Newton system;
+    before the bound answered them, the same bits took 797 systems and 921
+    LU calls.  The dense step gave t_star = 2.186903999942864 in 24
+    bisection steps and 847 systems.
     Fresh (MK+1)^2 arrays per Newton system cost about 295 minor page
     faults each under glibc's default mmap threshold; the structured step
     allocates no array of that size."""
@@ -570,8 +599,10 @@ def test_benchmark_32x9_instance_golden_and_fault_budget():
     assert got["iterations"] == 24
     assert got["eta_sha256"] == ("20b9bda7b47b3a041e84d98422cc0093"
                                  "379275b447fe3de96bb2e772c5f5741d")
-    assert (got["systems"], got["dense_fallbacks"]) == (797, 0)
-    assert got["lu_calls"] == 921
+    assert (got["probes"], got["probes_certified"]) == (25, 11)
+    assert got["systems"] == got["newton_systems"] == 468
+    assert got["dense_fallbacks"] == 0
+    assert got["lu_calls"] == 592
     assert got["minflt"] < 30 * got["lu_calls"]
 
 

@@ -4,18 +4,23 @@ Examples are derandomized (the same draws on every run) and kept few enough
 for the file to finish in well under 30 s.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cfgnn import maxmin
 from cfgnn.channel import MORPHOLOGIES, RadioDefaults
-from cfgnn.data import NormStats, Sample, sample_from_json, sample_to_json
+from cfgnn.data import (NormStats, Sample, generate_unlabeled,
+                        sample_from_json, sample_to_json)
 from cfgnn.engine import project_powers
 from cfgnn.maxmin import solve_maxmin
 from cfgnn.model import init_model, load_checkpoint, save_checkpoint
 from cfgnn.sinr import compute_alpha, compute_sinr, is_feasible
-from oracle import fading_instance
+from oracle import brute_force_maxmin, fading_instance, feasibility_check, sinr_cap
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 RHO_D, RHO_U = RadioDefaults.rho_d(), RadioDefaults.rho_u()
@@ -46,6 +51,26 @@ def test_solver_returns_feasible_powers(instance):
     sinr = compute_sinr(beta, alpha, sol.eta, RHO_D)
     assert np.all(sinr > 0)
     assert float(sinr.min()) == pytest.approx(sol.t_star, rel=1e-12)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(instances())
+# The draws above the dense size constant, the last the benchmark's 32x9
+# instance, on which the bound answers 11 of 25 probes.
+@example((fading_instance(16, 5, 7, "rural"), 5))
+@example((fading_instance(24, 8, 4, "suburban"), 8))
+@example((generate_unlabeled([(32, 9, "urban", 1)], run_seed=2017)[0].beta, 9))
+def test_sinr_cap_is_sound(instance):
+    """The bound that answers far-infeasible probes is at or above the
+    solver's optimum and the grid oracle's, and the barrier alone, with the
+    bound switched off, finds no allocation 1e-5 above it."""
+    beta, _ = instance
+    cap = sinr_cap(beta)
+    assert cap >= solve_maxmin(beta).t_star
+    if beta.size <= 6:
+        assert cap >= brute_force_maxmin(beta, grid_step=0.1).t_star
+    with mock.patch.object(maxmin, "_sinr_cap", return_value=math.inf):
+        assert feasibility_check(beta, cap * (1.0 + 1e-5)) is None
 
 
 @settings(PROPERTY, max_examples=15)
