@@ -110,7 +110,8 @@ def _state(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray, s: float) -> tuple:
 
 
 def _phi(weight: float, s: float, margins: np.ndarray, ball: np.ndarray) -> float:
-    if np.any(margins <= 0.0) or np.any(ball <= 0.0):
+    # Outside the interior, or at a NaN slack, the barrier is +inf.
+    if not (margins.min() > 0.0 and ball.min() > 0.0):
         return math.inf
     return -weight * s - float(np.log(margins).sum()) - float(np.log(ball).sum())
 
@@ -213,7 +214,6 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
     gamma = ball_w / (row_scale + ball_w * r)
     diag = row_scale.repeat(k_ue)
     big_u = np.concatenate([v_full[:, :n], p_full])
-    sign = np.repeat([1.0, -1.0], k_ue)
     c = v_full[:, n] @ v_full[:, :n]
     d = float(v_full[:, n] @ v_full[:, n])
     g_norm = math.sqrt(float(grad @ grad))
@@ -246,8 +246,10 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
     def residual(dsig: np.ndarray, ds: float) -> tuple[np.ndarray, float]:
         """-grad - H (dsig, ds), with H applied through its factors."""
         proj = ball_w * np.einsum("mk,mk->m", sig, dsig.reshape(m_ap, k_ue))
+        u_dsig = big_u @ dsig
+        u_dsig[k_ue:] *= -1.0                          # S = diag(+I_K, -I_K)
         h_sig = (diag * dsig + (proj[:, None] * sig).ravel()
-                 + (sign * (big_u @ dsig)) @ big_u + ds * c)
+                 + u_dsig @ big_u + ds * c)
         counter.dot(k_ue, m_ap)
         counter.matmul(2 * k_ue, n, 1)
         counter.matmul(1, 2 * k_ue, n)
@@ -258,11 +260,16 @@ def _structured_direction(sig: np.ndarray, r: np.ndarray, terms: tuple,
 
     z = apply_b_inv(big_u.T)
     cap = big_u @ z
-    cap[np.arange(2 * k_ue), np.arange(2 * k_ue)] += sign
+    cap_diag = cap.reshape(-1)[::2 * k_ue + 1]         # a view: cap is new
+    cap_diag[:k_ue] += 1.0
+    cap_diag[k_ue:] -= 1.0
     counter.matmul(2 * k_ue, n, 2 * k_ue)
     counter.add(2 * k_ue)
     try:
-        y = apply_a_inv(np.stack([-grad[:n], c], axis=1))
+        rhs = np.empty((n, 2))
+        rhs[:, 0] = -grad[:n]
+        rhs[:, 1] = c
+        y = apply_a_inv(rhs)
         y_r, y_c = y[:, 0], y[:, 1]
         schur = d - float(c @ y_c)
         counter.dot(n)
