@@ -28,11 +28,11 @@ Before any Newton system, a feasibility test compares t with a closed-form
 bound on the worst-user SINR (_sinr_cap): user k alone at full power, and
 Cauchy-Schwarz with only user k's own power as interference.  A target
 above it is answered "infeasible" at once.  The bisection opens its bracket
-at the interference-free bound, hundreds to tens of thousands of times
-above the optimum, so its first probes are of this kind.  The answer is the
-one the barrier gives: above the bound no allocation passes the exact
-recheck, so the bisection takes the same steps and every label keeps its
-bits; only the work counted falls.
+at the interference-free bound, on most draws thousands of times above the
+optimum, so its first probes are of this kind.  The answer is the one the
+barrier gives: above the bound no allocation passes the exact recheck, so
+the bisection takes the same steps and every label keeps its bits; only
+the work counted falls.
 
 Each Newton system has MK+1 unknowns.  Up to _DENSE_MAX_N of them it is
 solved by LU of the dense Hessian; above that, through the Hessian's
