@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +196,8 @@ def label_samples(samples: list[Sample], threads: int = 1) -> list[Sample]:
     """
     jobs = [s.beta for s in samples]
     if threads > 1:
+        # Imported here: the pool's modules cost every other command ~2 MB.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_label_one, jobs, chunksize=8))
     else:

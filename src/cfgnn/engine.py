@@ -18,6 +18,13 @@ the normalized log2 power.
 The test suite holds this batched path to a slow per-node reference of the
 same arithmetic.  The backward pass consumes the tape recorded by
 `forward` and returns exact reverse-mode gradients for every parameter.
+The tape keeps only what backward cannot rebuild bit for bit: the network
+input and, per transition, the two attention matrices, the layer norm's
+xhat and inverse deviation, and the ReLU mask as booleans.  Backward
+rebuilds each transition's input from the previous xhat with the layer
+norm's own `xhat * gain + bias`, and the value, query and key tensors from
+that input with the forward's own affine maps: the same operands, layouts
+and GEMM shapes, so the same bits.
 
 Every kernel reports its FLOPs to a counter using the conventions of
 `flops`: counts reflect what the vectorised code executes, including the
@@ -60,13 +67,29 @@ def _apply_map(x_flat: np.ndarray, w: np.ndarray, b: np.ndarray,
     return flat.reshape(*lead, c, d).transpose(0, 1, 3, 2, 4)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1, keepdims=True)` by a halving tree of `np.maximum`.
+
+    A max has one right answer in any order, so the bits are the
+    reduction's; the tree takes log2(N) whole-array calls where the
+    reduction loops once per short row.  (Only the sign of an all-zero
+    row's max could differ, and subtracting either zero leaves the same
+    logits for `exp`.)
+    """
+    m = a
+    while (n := m.shape[-1]) > 1:
+        m = np.maximum(m[..., :(n + 1) // 2], m[..., n // 2:])
+    return m
+
+
 def _typed_block(x: np.ndarray, arrays: tuple,
-                 counter: FlopCounter) -> tuple[np.ndarray, tuple]:
+                 counter: FlopCounter) -> tuple[np.ndarray, np.ndarray | None]:
     """Typed attention aggregate on group layout (S, G, N, n_in).
 
-    The input is flattened once for all four maps (for the UE type it is
-    the axis-swapped tensor, so the flatten is a copy), and the softmax
-    runs in place on the logits.
+    Returns the aggregate and the attention matrix (None for one-member
+    groups), which is all the backward pass keeps.  The input is flattened
+    once for all four maps (for the UE type it is the axis-swapped tensor,
+    so the flatten is a copy), and the softmax runs in place on the logits.
     """
     w1, b1, w2, b2, w3, b3, w4, b4 = arrays
     s, g, nmem, n_in = x.shape
@@ -77,7 +100,7 @@ def _typed_block(x: np.ndarray, arrays: tuple,
     counter.linear(s * g * nmem, n_in, c * d)
     if nmem == 1:
         out5 = sv
-        tape = (x, None, None, None, None)
+        attn = None
     else:
         v = _apply_map(x_flat, w2, b2, lead)
         q = _apply_map(x_flat, w3, b3, lead)
@@ -89,7 +112,7 @@ def _typed_block(x: np.ndarray, arrays: tuple,
         counter.mul(s * g * c * nmem * nmem)
         idx = np.arange(nmem)
         attn[..., idx, idx] = _MASK_VALUE
-        attn -= attn.max(axis=-1, keepdims=True)
+        attn -= _row_max(attn)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         counter.add(2 * s * g * c * nmem * nmem)       # max-subtract, sum
@@ -98,9 +121,8 @@ def _typed_block(x: np.ndarray, arrays: tuple,
         counter.dot(nmem, s * g * c * nmem * d)
         out5 += sv
         counter.add(s * g * nmem * c * d)
-        tape = (x, q, k, v, attn)
     out = out5.transpose(0, 1, 3, 2, 4).reshape(s, g, nmem, c * d)
-    return out, tape
+    return out, attn
 
 
 def _layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -126,7 +148,12 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
     """Raw (normalized log-domain) node outputs for one or many samples.
 
     x is the normalized log2 fading matrix, shape (M, K) or (S, M, K);
-    the output has the same leading shape.
+    the output has the same leading shape.  With want_tape, also returns
+    the tape `backward` consumes: the (S, M, K) input and, per transition,
+    the AP-type (S, M, C, K, K) and UE-type (S, K, C, M, M) attention
+    (None for a one-member group), the layer norm's xhat and inverse
+    deviation, and the ReLU mask `z > 0`.  The value, query and key
+    tensors and each transition's input are recomputed in backward.
     """
     counter = counting(counter)
     x = np.asarray(x, dtype=float)
@@ -140,8 +167,8 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
     h = x[..., None]
     tape = []
     for t in range(model.plan.transformer_transitions):
-        f_ap, tape_ap = _typed_block(h, _type_arrays(model, t, "ap"), counter)
-        f_ue_g, tape_ue = _typed_block(h.swapaxes(1, 2),
+        f_ap, attn_ap = _typed_block(h, _type_arrays(model, t, "ap"), counter)
+        f_ue_g, attn_ue = _typed_block(h.swapaxes(1, 2),
                                        _type_arrays(model, t, "ue"), counter)
         z = f_ap + f_ue_g.swapaxes(1, 2)
         counter.add(z.size)
@@ -150,14 +177,14 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
         bias = model.params[f"layer{t:02d}.ln_bias"]
         h, xhat, inv = _layer_norm(a, gain, bias, counter)
         if want_tape:
-            tape.append({"ap": tape_ap, "ue": tape_ue, "z": z,
+            tape.append({"ap": attn_ap, "ue": attn_ue, "relu": z > 0.0,
                          "xhat": xhat, "inv": inv})
     out_w = model.params["out.w"]
     out_b = model.params["out.b"]
     y = h @ out_w[0] + out_b[0]
     counter.linear(s * m * k, out_w.shape[1], 1)
     if want_tape:
-        return (y[0] if single else y), {"layers": tape, "h_last": h,
+        return (y[0] if single else y), {"x": x, "layers": tape,
                                          "single": single}
     return y[0] if single else y
 
@@ -166,46 +193,44 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def _typed_block_bwd(df: np.ndarray, arrays: tuple, tape: tuple
+def _typed_block_bwd(df: np.ndarray, x: np.ndarray, arrays: tuple,
+                     attn: np.ndarray | None
                      ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradient of one typed block.  df: (S, G, N, c*d) upstream."""
+    """Gradient of one typed block.  df: (S, G, N, c*d) upstream; x and
+    attn: the block's forward input and attention.  The value, query and
+    key tensors are recomputed from x by the forward's own maps, each just
+    before its one use."""
     w1, b1, w2, b2, w3, b3, w4, b4 = arrays
-    x, q, k, v, attn = tape
     s, g, nmem, n_in = x.shape
     c, d, _ = w1.shape
     x_flat = x.reshape(-1, n_in)
+    lead = (s, g, nmem)
+    grads = {}
 
-    def map_bwd(dy5: np.ndarray, w: np.ndarray) -> tuple:
+    def map_bwd(dy5: np.ndarray, w: np.ndarray, name: str) -> np.ndarray:
+        """Store the map's weight and bias gradients; return its dx."""
         dy_flat = dy5.transpose(0, 1, 3, 2, 4).reshape(-1, c * d)
-        dw = (dy_flat.T @ x_flat).reshape(c, d, n_in)
-        db = dy_flat.sum(axis=0).reshape(c, d)
-        dx = (dy_flat @ w.reshape(c * d, n_in)).reshape(s, g, nmem, n_in)
-        return dw, db, dx
+        grads[f"w{name}"] = (dy_flat.T @ x_flat).reshape(c, d, n_in)
+        grads[f"b{name}"] = dy_flat.sum(axis=0).reshape(c, d)
+        return (dy_flat @ w.reshape(c * d, n_in)).reshape(s, g, nmem, n_in)
 
-    df5 = df.reshape(s, g, nmem, c, d).transpose(0, 1, 3, 2, 4)
-    dw1, db1, dx = map_bwd(df5, w1)
-    grads = {"w1": dw1, "b1": db1}
+    dagg = df.reshape(s, g, nmem, c, d).transpose(0, 1, 3, 2, 4)
+    dx = map_bwd(dagg, w1, "1")
     if nmem == 1:
         for name, ref in (("w2", w2), ("b2", b2), ("w3", w3), ("b3", b3),
                           ("w4", w4), ("b4", b4)):
             grads[name] = np.zeros_like(ref)
         return dx, grads
-    dagg = df5
-    dv = attn.swapaxes(-1, -2) @ dagg
+    dx += map_bwd(attn.swapaxes(-1, -2) @ dagg, w2, "2")
     # Softmax backward in place on dattn = dagg @ v':
     # dlog = (dattn - rowsum(dattn * attn)) * attn / sqrt(d).
-    dlog = dagg @ v.swapaxes(-1, -2)
+    dlog = dagg @ _apply_map(x_flat, w2, b2, lead).swapaxes(-1, -2)
     dlog -= (dlog * attn).sum(axis=-1, keepdims=True)
     dlog *= attn
     dlog /= math.sqrt(d)
-    dq = dlog @ k
-    dk = dlog.swapaxes(-1, -2) @ q
-    for name_w, name_b, dy5, w in (("w2", "b2", dv, w2), ("w3", "b3", dq, w3),
-                                   ("w4", "b4", dk, w4)):
-        dw, db, dxi = map_bwd(dy5, w)
-        grads[name_w] = dw
-        grads[name_b] = db
-        dx += dxi
+    dx += map_bwd(dlog @ _apply_map(x_flat, w4, b4, lead), w3, "3")
+    dx += map_bwd(dlog.swapaxes(-1, -2) @ _apply_map(x_flat, w3, b3, lead),
+                  w4, "4")
     return dx, grads
 
 
@@ -217,32 +242,46 @@ def backward(model: GnnModel, tape: dict, dy: np.ndarray
     """
     if tape["single"]:
         dy = dy[None]
+    layers = tape["layers"]
+
+    def layer_input(t: int) -> np.ndarray:
+        """The forward's h entering transition t (t = T: the last output)."""
+        if t == 0:
+            return tape["x"][..., None]
+        p = f"layer{t - 1:02d}"
+        return layers[t - 1]["xhat"] * model.params[f"{p}.ln_gain"] \
+            + model.params[f"{p}.ln_bias"]
+
     grads: dict[str, np.ndarray] = {}
-    h_last = tape["h_last"]
+    h_last = layer_input(len(layers))
     n_last = h_last.shape[-1]
     dy_flat = dy.reshape(-1)
-    h_flat = h_last.reshape(-1, n_last)
-    grads["out.w"] = (dy_flat @ h_flat)[None, :]
+    grads["out.w"] = (dy_flat @ h_last.reshape(-1, n_last))[None, :]
     grads["out.b"] = np.array([dy_flat.sum()])
     dh = dy[..., None] * model.params["out.w"][0]
+    del h_last
 
-    for t in reversed(range(model.plan.transformer_transitions)):
-        entry = tape["layers"][t]
+    for t in reversed(range(len(layers))):
+        entry = layers[t]
         gain = model.params[f"layer{t:02d}.ln_gain"]
-        xhat, inv, z = entry["xhat"], entry["inv"], entry["z"]
+        xhat, inv = entry["xhat"], entry["inv"]
         grads[f"layer{t:02d}.ln_gain"] = np.einsum("smkn,smkn->n", dh, xhat)
         grads[f"layer{t:02d}.ln_bias"] = dh.sum(axis=(0, 1, 2))
         dxh = dh * gain
         m1 = dxh.mean(axis=-1, keepdims=True)
         m2 = (dxh * xhat).mean(axis=-1, keepdims=True)
-        da = inv * (dxh - m1 - xhat * m2)
-        dz = da * (z > 0.0)
-        dx_ap, g_ap = _typed_block_bwd(dz, _type_arrays(model, t, "ap"),
+        dz = inv * (dxh - m1 - xhat * m2)
+        del dh, dxh
+        dz *= entry["relu"]
+        h = layer_input(t)
+        dx_ap, g_ap = _typed_block_bwd(dz, h, _type_arrays(model, t, "ap"),
                                        entry["ap"])
-        dx_ue, g_ue = _typed_block_bwd(dz.swapaxes(1, 2),
+        dx_ue, g_ue = _typed_block_bwd(dz.swapaxes(1, 2), h.swapaxes(1, 2),
                                        _type_arrays(model, t, "ue"),
                                        entry["ue"])
+        del dz, h
         dh = dx_ap + dx_ue.swapaxes(1, 2)
+        del dx_ap, dx_ue
         for name, val in g_ap.items():
             grads[f"layer{t:02d}.ap.{name}"] = val
         for name, val in g_ue.items():

@@ -9,9 +9,12 @@
   block per AP in a Python loop.  Float addition commutes, so each entry receives the same
   sums and the two must agree bit for bit.
 * `typed_block` / `typed_block_bwd`: the engine's typed attention block,
-  forward and backward, with a fresh temporary for every softmax step and
-  one input flatten per affine map; the oracle for `engine._typed_block`
-  and `engine._typed_block_bwd`, which work in place.
+  forward and backward, with a fresh temporary for every softmax step, a
+  `max` reduction for the softmax shift and one input flatten per affine
+  map; the oracle for `engine._typed_block` and `engine._typed_block_bwd`,
+  which work in place.  Like them, the forward keeps only the attention
+  and the backward recomputes the value, query and key tensors from the
+  block input.
 * `write_checkpoint`: the whole checkpoint document built in memory and
   written with `json.dump`; the oracle for the streamed
   `model.save_checkpoint`.
@@ -103,7 +106,8 @@ def _apply_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def typed_block(x: np.ndarray, arrays: tuple, counter) -> tuple:
-    """(output, tape) of one typed block on group layout (S, G, N, n_in)."""
+    """(output, attention or None) of one typed block on group layout
+    (S, G, N, n_in)."""
     w1, b1, w2, b2, w3, b3, w4, b4 = arrays
     s, g, nmem, n_in = x.shape
     c, d, _ = w1.shape
@@ -111,7 +115,7 @@ def typed_block(x: np.ndarray, arrays: tuple, counter) -> tuple:
     counter.linear(s * g * nmem, n_in, c * d)
     if nmem == 1:
         out5 = sv
-        tape = (x, None, None, None, None)
+        attn = None
     else:
         v = _apply_map(x, w2, b2)
         q = _apply_map(x, w3, b3)
@@ -134,15 +138,15 @@ def typed_block(x: np.ndarray, arrays: tuple, counter) -> tuple:
         counter.dot(nmem, s * g * c * nmem * d)
         out5 = sv + agg
         counter.add(s * g * nmem * c * d)
-        tape = (x, q, k, v, attn)
     out = out5.transpose(0, 1, 3, 2, 4).reshape(s, g, nmem, c * d)
-    return out, tape
+    return out, attn
 
 
-def typed_block_bwd(df: np.ndarray, arrays: tuple, tape: tuple) -> tuple:
-    """(dx, grads) of one typed block; df is the (S, G, N, c*d) upstream."""
+def typed_block_bwd(df: np.ndarray, x: np.ndarray, arrays: tuple,
+                    attn) -> tuple:
+    """(dx, grads) of one typed block; df is the (S, G, N, c*d) upstream,
+    x the block input and attn its attention (None for N = 1)."""
     w1, b1, w2, b2, w3, b3, w4, b4 = arrays
-    x, q, k, v, attn = tape
     s, g, nmem, n_in = x.shape
     c, d, _ = w1.shape
 
@@ -163,6 +167,9 @@ def typed_block_bwd(df: np.ndarray, arrays: tuple, tape: tuple) -> tuple:
             grads[name] = np.zeros_like(ref)
         return dx, grads
     dagg = df5
+    v = _apply_map(x, w2, b2)
+    q = _apply_map(x, w3, b3)
+    k = _apply_map(x, w4, b4)
     dattn = dagg @ v.swapaxes(-1, -2)
     dv = attn.swapaxes(-1, -2) @ dagg
     dlog = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))

@@ -180,7 +180,7 @@ def test_criterion_5_attention_rows_sum_to_one():
         _, tape = forward(graph, x, model, want_tape=True)
         for entry in tape["layers"]:
             for typ in ("ap", "ue"):
-                attn = entry[typ][4]
+                attn = entry[typ]
                 if attn is None:       # singleton neighborhoods skip attention
                     continue
                 sums = attn.sum(axis=-1)

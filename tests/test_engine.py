@@ -346,15 +346,64 @@ def test_in_place_kernels_match_the_oracle_bit_for_bit(monkeypatch, s, m, k):
     monkeypatch.setattr(engine, "_typed_block_bwd", oracle.typed_block_bwd)
     y_ref, tape_ref, grads_ref, counter_ref = _forward_backward(x, model, dy)
     assert _same(y, y_ref)
+    assert tape.keys() == tape_ref.keys()
     assert len(tape["layers"]) == 9
     for t, entry_ref in enumerate(tape_ref["layers"]):
+        assert tape["layers"][t].keys() == entry_ref.keys(), t
         for key, val in entry_ref.items():
             assert _same(tape["layers"][t][key], val), (t, key)
-    assert _same(tape["h_last"], tape_ref["h_last"])
+    for key in tape_ref.keys() - {"layers"}:
+        assert _same(tape[key], tape_ref[key]), key
     assert list(grads) == list(grads_ref)
     for name in grads_ref:
         assert _same(grads[name], grads_ref[name]), name
     assert counter == counter_ref
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_row_max_has_the_bits_of_the_max_reduction(n):
+    """The softmax shift's halving tree, on rows of every length up to 33
+    with the diagonal masked as the attention masks it."""
+    a = np.random.default_rng(n).standard_normal((2, 3, 2, n, n)) * 10.0
+    idx = np.arange(n)
+    a[..., idx, idx] = engine._MASK_VALUE
+    for rows in (a, a[..., :1, :], a.swapaxes(-1, -2)):
+        got = engine._row_max(rows)
+        want = rows.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _held_bytes(obj) -> int:
+    """Bytes of the distinct array buffers reachable from a tape."""
+    owners = {}
+
+    def walk(o):
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            owners[id(o)] = o.nbytes
+        elif isinstance(o, dict):
+            for v in o.values():
+                walk(v)
+        elif isinstance(o, (list, tuple)):
+            for v in o:
+                walk(v)
+
+    walk(obj)
+    return sum(owners.values())
+
+
+def test_training_tape_at_batch_64_holds_at_most_6_mb():
+    """The tape keeps attention, xhat, inv and the ReLU mask per layer
+    (4.1 MB at 64x8x3), not the value, query and key tensors or the
+    layer inputs that backward recomputes (15.9 MB with them)."""
+    model = init_model(seed=0, norm=NORM)
+    x = np.random.default_rng(0).standard_normal((64, 8, 3))
+    _, tape = forward(build_graph(8, 3), x, model, want_tape=True)
+    assert _held_bytes(tape) <= 6 * 2**20
+    for entry in tape["layers"]:
+        assert entry["relu"].dtype == np.bool_
 
 
 def _checkpoint_cases():
