@@ -72,9 +72,8 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
     A max has one right answer in any order, so the bits are the
     reduction's; the tree takes log2(N) whole-array calls where the
-    reduction loops once per short row.  (Only the sign of an all-zero
-    row's max could differ, and subtracting either zero leaves the same
-    logits for `exp`.)
+    reduction loops once per short row.  (Only a zero max could differ,
+    in its sign, and subtracting either zero gives `exp` the same values.)
     """
     m = a
     while (n := m.shape[-1]) > 1:
