@@ -1,5 +1,8 @@
 """Command-line entry point: gen-data | solve | train | eval | flops.
 
+This is the only module that writes to the terminal: summaries go to
+stdout, errors and the seeds of dropped samples to stderr.
+
 Only stdlib imports at module scope.  main() pins BLAS libraries to a single
 thread before the numeric modules load, so results are byte-identical no
 matter what --threads is set to; --threads only controls process-level
@@ -80,8 +83,13 @@ def _cmd_solve(args, parser) -> int:
     samples = read_jsonl(args.infile)
     labeled = label_samples(samples, threads=args.threads)
     write_jsonl(labeled, args.out)
-    dropped = len(samples) - len(labeled)
-    note = f" ({dropped} dropped)" if dropped else ""
+    kept = {id(sample.beta) for sample in labeled}  # shared with the input row
+    dropped = [sample for sample in samples if id(sample.beta) not in kept]
+    for sample in dropped:
+        print(f"dropped sample seed={sample.seed} ({sample.num_aps}x"
+              f"{sample.num_ues}): the solver failed or did not converge",
+              file=sys.stderr)
+    note = f" ({len(dropped)} dropped)" if dropped else ""
     print(f"labeled {len(labeled)} samples{note} -> {args.out}")
     return 0
 

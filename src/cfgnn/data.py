@@ -16,16 +16,13 @@ training set.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import MORPHOLOGIES, draw_fading
 from .maxmin import SolverError, solve_maxmin
 from .sinr import compute_alpha, compute_sinr, is_feasible
-
-logger = logging.getLogger(__name__)
 
 ETA_LOG_FLOOR = 1e-12
 STD_FLOOR = 1e-12
@@ -105,12 +102,20 @@ def _finite_field(doc: dict, key: str, size: int) -> np.ndarray:
     return arr
 
 
+def require_int(value, name: str) -> int:
+    """`value` if it is a JSON integer; floats, booleans and strings raise
+    ValueError instead of being truncated or coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def sample_from_json(line: str) -> Sample:
-    """Parse one JSONL record, rejecting M or K below 1, unknown morphologies,
-    wrong lengths, non-finite values, non-positive gains or SINRs, and
-    negative powers."""
+    """Parse one JSONL record, rejecting M, K or seed that are not integers,
+    M or K below 1, unknown morphologies, wrong lengths, non-finite values,
+    non-positive gains or SINRs, and negative powers."""
     doc = json.loads(line)
-    m, k = int(doc["M"]), int(doc["K"])
+    m, k = require_int(doc["M"], "M"), require_int(doc["K"], "K")
     if m < 1 or k < 1:
         raise ValueError(f"M and K must be >= 1, got M={m}, K={k}")
     if doc["morphology"] not in MORPHOLOGIES:
@@ -128,7 +133,8 @@ def sample_from_json(line: str) -> Sample:
         if np.any(sinr <= 0):
             raise ValueError("sinr_opt entries must be positive")
     return Sample(num_aps=m, num_ues=k, morphology=doc["morphology"],
-                  seed=int(doc["seed"]), beta=beta, eta_opt=eta, sinr_opt=sinr)
+                  seed=require_int(doc["seed"], "seed"), beta=beta,
+                  eta_opt=eta, sinr_opt=sinr)
 
 
 def write_jsonl(samples: list[Sample], path: str) -> None:
@@ -189,8 +195,10 @@ def _label_one(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def label_samples(samples: list[Sample], threads: int = 1) -> list[Sample]:
-    """Attach optimal (eta, sinr) labels; failed solves are dropped and logged.
+    """Attach optimal (eta, sinr) labels, in input order.
 
+    A sample whose solve fails (`SolverError` or no convergence) shows up
+    only as a missing row; each labeled row shares its input's `beta`.
     Results are deterministic for any thread count because each solve is
     pure and outputs are collected in input order.
     """
@@ -202,19 +210,8 @@ def label_samples(samples: list[Sample], threads: int = 1) -> list[Sample]:
             results = list(pool.map(_label_one, jobs, chunksize=8))
     else:
         results = [_label_one(job) for job in jobs]
-
-    labeled = []
-    for sample, result in zip(samples, results):
-        if result is None:
-            logger.warning("solver failed on sample seed=%d (M=%d, K=%d); "
-                           "sample skipped", sample.seed, sample.num_aps,
-                           sample.num_ues)
-            continue
-        eta, sinr = result
-        labeled.append(Sample(num_aps=sample.num_aps, num_ues=sample.num_ues,
-                              morphology=sample.morphology, seed=sample.seed,
-                              beta=sample.beta, eta_opt=eta, sinr_opt=sinr))
-    return labeled
+    return [replace(sample, eta_opt=result[0], sinr_opt=result[1])
+            for sample, result in zip(samples, results) if result is not None]
 
 
 def compute_norm_stats(samples: list[Sample]) -> NormStats:

@@ -18,13 +18,13 @@ the normalized log2 power.
 The test suite holds this batched path to a slow per-node reference of the
 same arithmetic.  The backward pass consumes the tape recorded by
 `forward` and returns exact reverse-mode gradients for every parameter.
-The tape keeps only what backward cannot rebuild bit for bit: the network
-input and, per transition, the two attention matrices, the layer norm's
-xhat and inverse deviation, and the ReLU mask as booleans.  Backward
-rebuilds each transition's input from the previous xhat with the layer
-norm's own `xhat * gain + bias`, and the value, query and key tensors from
-that input with the forward's own affine maps: the same operands, layouts
-and GEMM shapes, so the same bits.
+The tape, {"x", "layers"}, keeps only what backward cannot rebuild bit for
+bit: the network input and, per transition, the two attention matrices,
+the layer norm's xhat and inverse deviation, and the ReLU mask as booleans.
+Backward rebuilds each transition's input from the previous xhat with the
+layer norm's own `xhat * gain + bias`, and the value, query and key tensors
+from that input with the forward's own affine maps: the same operands,
+layouts and GEMM shapes, so the same bits.
 
 Every kernel reports its FLOPs to a counter using the conventions of
 `flops`: counts reflect what the vectorised code executes, including the
@@ -41,18 +41,16 @@ import numpy as np
 from .data import NormStats, denormalize_output
 from .flops import FlopCounter, counting
 from .graph import HeteroGraph, build_graph
-from .model import GnnModel, init_model
+from .model import MAP_NAMES, GnnModel, init_model
 
 LN_EPS = 1e-5
 _MASK_VALUE = -1e30
 
 
 def _type_arrays(model: GnnModel, t: int, edge_type: str) -> tuple:
+    """The eight map arrays of one transition and edge type, in MAP_NAMES order."""
     prefix = f"layer{t:02d}.{edge_type}"
-    p = model.params
-    return (p[f"{prefix}.w1"], p[f"{prefix}.b1"], p[f"{prefix}.w2"],
-            p[f"{prefix}.b2"], p[f"{prefix}.w3"], p[f"{prefix}.b3"],
-            p[f"{prefix}.w4"], p[f"{prefix}.b4"])
+    return tuple(model.params[f"{prefix}.{name}"] for name in MAP_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +146,12 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
 
     x is the normalized log2 fading matrix, shape (M, K) or (S, M, K);
     the output has the same leading shape.  With want_tape, also returns
-    the tape `backward` consumes: the (S, M, K) input and, per transition,
-    the AP-type (S, M, C, K, K) and UE-type (S, K, C, M, M) attention
-    (None for a one-member group), the layer norm's xhat and inverse
-    deviation, and the ReLU mask `z > 0`.  The value, query and key
-    tensors and each transition's input are recomputed in backward.
+    the tape `backward` consumes: "x", the (S, M, K) input (S = 1 for an
+    (M, K) call), and "layers", per transition the AP-type (S, M, C, K, K)
+    and UE-type (S, K, C, M, M) attention ("ap", "ue"; None for a one-member
+    group), the layer norm's xhat and inverse deviation ("xhat", "inv"),
+    and the ReLU mask `z > 0` ("relu").  The value, query and key tensors
+    and each transition's input are recomputed in backward.
     """
     counter = counting(counter)
     x = np.asarray(x, dtype=float)
@@ -164,7 +163,7 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
                          f"({graph.num_aps}, {graph.num_ues})")
     s, m, k = x.shape
     h = x[..., None]
-    tape = []
+    layers = []
     for t in range(model.plan.transformer_transitions):
         f_ap, attn_ap = _typed_block(h, _type_arrays(model, t, "ap"), counter)
         f_ue_g, attn_ue = _typed_block(h.swapaxes(1, 2),
@@ -176,16 +175,17 @@ def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
         bias = model.params[f"layer{t:02d}.ln_bias"]
         h, xhat, inv = _layer_norm(a, gain, bias, counter)
         if want_tape:
-            tape.append({"ap": attn_ap, "ue": attn_ue, "relu": z > 0.0,
-                         "xhat": xhat, "inv": inv})
+            layers.append({"ap": attn_ap, "ue": attn_ue, "relu": z > 0.0,
+                           "xhat": xhat, "inv": inv})
     out_w = model.params["out.w"]
     out_b = model.params["out.b"]
     y = h @ out_w[0] + out_b[0]
     counter.linear(s * m * k, out_w.shape[1], 1)
+    if single:
+        y = y[0]
     if want_tape:
-        return (y[0] if single else y), {"x": x, "layers": tape,
-                                         "single": single}
-    return y[0] if single else y
+        return y, {"x": x, "layers": layers}
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,7 @@ def _typed_block_bwd(df: np.ndarray, x: np.ndarray, arrays: tuple,
     dagg = df.reshape(s, g, nmem, c, d).transpose(0, 1, 3, 2, 4)
     dx = map_bwd(dagg, w1, "1")
     if nmem == 1:
-        for name, ref in (("w2", w2), ("b2", b2), ("w3", w3), ("b3", b3),
-                          ("w4", w4), ("b4", b4)):
+        for name, ref in zip(MAP_NAMES[2:], arrays[2:]):
             grads[name] = np.zeros_like(ref)
         return dx, grads
     dx += map_bwd(attn.swapaxes(-1, -2) @ dagg, w2, "2")
@@ -237,10 +236,10 @@ def backward(model: GnnModel, tape: dict, dy: np.ndarray
              ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss per parameter name, given dL/d(raw output).
 
-    dy has the shape of the forward output ((M, K) or (S, M, K)).
+    dy has the shape of the forward output ((M, K) or (S, M, K)); it is
+    read in the tape input's (S, M, K) shape.
     """
-    if tape["single"]:
-        dy = dy[None]
+    dy = dy.reshape(tape["x"].shape)
     layers = tape["layers"]
 
     def layer_input(t: int) -> np.ndarray:

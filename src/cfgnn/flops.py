@@ -16,8 +16,11 @@ closed-form model written from the op definitions, which lives in
 Every kernel reports to a counter unconditionally, so counted and uncounted
 runs execute the same statements.  The public entry points that take
 `counter=None` (`engine.forward`, `engine.project_powers`,
-`maxmin.solve_maxmin`) put a fresh `NoCounter` in its place: its tally
-methods do nothing, so only this module decides whether tallies are kept.
+`maxmin.solve_maxmin`) put a fresh `NoCounter` in its place.  Every tally
+method goes through the two primitives `mul` and `add`, and `NoCounter`
+overrides only those two to do nothing, so only this module decides whether
+tallies are kept.  Callers pass Python ints (sizes and shape products), so
+the tallies stay Python ints.
 """
 
 from __future__ import annotations
@@ -46,15 +49,15 @@ class FlopCounter:
         return self.multiplies + self.adds
 
     def mul(self, n: int) -> None:
-        self.multiplies += int(n)
+        self.multiplies += n
 
     def add(self, n: int) -> None:
-        self.adds += int(n)
+        self.adds += n
 
     def dot(self, n: int, count: int = 1) -> None:
         """`count` dot products of length n."""
-        self.multiplies += int(n) * int(count)
-        self.adds += int(n) * int(count)
+        self.mul(n * count)
+        self.add(n * count)
 
     def matmul(self, m: int, n: int, p: int) -> None:
         """(m, n) @ (n, p): m*p dot products of length n."""
@@ -63,36 +66,24 @@ class FlopCounter:
     def linear(self, batch: int, fan_in: int, fan_out: int) -> None:
         """Affine map with bias on `batch` vectors: batch*(2*fan_in + 1)*fan_out."""
         self.dot(fan_in, batch * fan_out)
-        self.adds += batch * fan_out
+        self.add(batch * fan_out)
 
     def solve_lu(self, n: int, rhs: int = 1) -> None:
         """Dense LU factorisation plus triangular solves for an n x n system."""
-        third = (n * n * n) // 3
-        self.multiplies += third + rhs * n * n
-        self.adds += third + rhs * n * n
+        work = (n * n * n) // 3 + rhs * n * n
+        self.mul(work)
+        self.add(work)
 
 
 class NoCounter(FlopCounter):
-    """The counter of an uncounted run: every tally method does nothing.
-    Event fields such as `newton_retries` still count, on an object that
-    no caller reads."""
+    """The counter of an uncounted run: the two primitives every tally goes
+    through do nothing.  Event fields such as `newton_retries` still count,
+    on an object that no caller reads."""
 
     def mul(self, n: int) -> None:
         pass
 
     def add(self, n: int) -> None:
-        pass
-
-    def dot(self, n: int, count: int = 1) -> None:
-        pass
-
-    def matmul(self, m: int, n: int, p: int) -> None:
-        pass
-
-    def linear(self, batch: int, fan_in: int, fan_out: int) -> None:
-        pass
-
-    def solve_lu(self, n: int, rhs: int = 1) -> None:
         pass
 
 

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, require_int
 
 DEFAULT_SIZES = (1, 8, 8, 16, 16, 32, 16, 16, 8, 8, 1)
 EDGE_TYPES = ("ap", "ue")
-_MAP_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
+MAP_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def param_shapes(plan: LayerPlan) -> dict[str, tuple[int, ...]]:
         d = plan.head_dim(t)
         for edge_type in EDGE_TYPES:
             prefix = f"layer{t:02d}.{edge_type}"
-            for name in _MAP_NAMES:
+            for name in MAP_NAMES:
                 if name.startswith("w"):
                     shapes[f"{prefix}.{name}"] = (c, d, n_in)
                 else:
@@ -177,8 +177,8 @@ def load_checkpoint(path: str) -> tuple[GnnModel, dict]:
     A file that is not a whole, finite checkpoint raises ValueError naming
     the path: text that does not decode, a missing section or field, a plan
     that LayerPlan refuses, a fingerprint or extra that is not an object, a
-    parameter name or shape mismatch, or a NaN or infinite entry in params
-    or extra_arrays.
+    parameter name or shape mismatch, a plan size or head count that is not
+    an integer, or a NaN or infinite entry in params or extra_arrays.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -194,8 +194,9 @@ def load_checkpoint(path: str) -> tuple[GnnModel, dict]:
 
 
 def _checkpoint_from_doc(doc: dict) -> tuple[GnnModel, dict]:
-    plan = LayerPlan(sizes=tuple(doc["plan"]["sizes"]),
-                     heads=int(doc["plan"]["heads"]))
+    plan = LayerPlan(sizes=tuple(require_int(size, "plan size")
+                                 for size in doc["plan"]["sizes"]),
+                     heads=require_int(doc["plan"]["heads"], "plan heads"))
     norm = NormStats(**doc["norm"])
     params = _arrays_from_json("params", doc["params"])
     expected = param_shapes(plan)

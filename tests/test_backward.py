@@ -145,3 +145,23 @@ def test_gradient_shapes_match_parameters():
     assert set(grads) == set(model.params)
     for name, g in grads.items():
         assert g.shape == model.params[name].shape, name
+
+
+def test_single_sample_tape_gives_the_batch_of_one_gradients():
+    """A 2-D forward's tape holds the input as a (1, M, K) batch, and
+    backward through it gives the bits of the (1, M, K) call's gradients."""
+    graph = build_graph(4, 3)
+    model = init_model(seed=4, norm=NormStats(0.0, 1.0, 0.0, 1.0))
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((4, 3))
+    dy = rng.standard_normal((4, 3))
+    y, tape = forward(graph, x, model, want_tape=True)
+    y_b, tape_b = forward(graph, x[None], model, want_tape=True)
+    assert tape.keys() == tape_b.keys() == {"x", "layers"}
+    assert tape["x"].shape == (1, 4, 3)
+    assert y.tobytes() == y_b[0].tobytes()
+    grads = backward(model, tape, dy)
+    grads_b = backward(model, tape_b, dy[None])
+    assert list(grads) == list(grads_b)
+    for name, g in grads_b.items():
+        assert grads[name].tobytes() == g.tobytes(), name

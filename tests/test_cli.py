@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cfgnn.data
 from cfgnn.cli import _BLAS_VARS, main, parse_scenarios
-from oracle import subprocess_env
+from cfgnn.data import read_jsonl
+from cfgnn.maxmin import SolverError
+from oracle import SRC_DIR, subprocess_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 # sha256 of the artifacts of `cfgnn --threads 1 train` (epochs 4, batch 64,
@@ -124,6 +129,53 @@ def test_solve_and_train_rerun_byte_identical(tmp_path):
                  "--out", str(rb)]) == 0
     assert (ra / "checkpoints/epoch_001.json").read_bytes() == \
            (rb / "checkpoints/epoch_001.json").read_bytes()
+
+
+def test_solve_reports_each_dropped_sample_on_stderr(tmp_path, capsys,
+                                                     monkeypatch):
+    """A sample whose solve fails is missing from the output, and `solve`
+    names its seed and size on stderr; the other rows keep their order."""
+    raw, labeled = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
+    main(["gen-data", "--scenarios", "2x2:urban", "--count", "3",
+          "--out", str(raw), "--seed", "4"])
+    samples = read_jsonl(str(raw))
+    doomed = samples[1]
+    real = cfgnn.data.solve_maxmin
+
+    def failing(beta, *args, **kwargs):
+        if np.array_equal(beta, doomed.beta):
+            raise SolverError("forced")
+        return real(beta, *args, **kwargs)
+
+    monkeypatch.setattr(cfgnn.data, "solve_maxmin", failing)
+    capsys.readouterr()
+    assert main(["--threads", "1", "solve", "--in", str(raw),
+                 "--out", str(labeled)]) == 0
+    out, err = capsys.readouterr()
+    assert "labeled 2 samples (1 dropped)" in out
+    assert err.splitlines() == [f"dropped sample seed={doomed.seed} (2x2): "
+                                "the solver failed or did not converge"]
+    assert [s.seed for s in read_jsonl(str(labeled))] == \
+        [samples[0].seed, samples[2].seed]
+
+
+def test_only_the_cli_reports_and_nothing_loads_logging():
+    """The CLI is the one reporter: no other module prints, touches the
+    standard streams or logs, and a fresh interpreter that imports every
+    module of the package has not loaded `logging`."""
+    paths = sorted((SRC_DIR / "cfgnn").glob("*.py"))
+    for path in paths:
+        if path.name != "cli.py":
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"\bprint\(|sys\.std(out|err)|logging",
+                                 text), path.name
+    modules = [path.stem for path in paths]
+    code = ("import sys\n"
+            + "".join(f"import cfgnn.{name}\n" for name in modules)
+            + "print('logging' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_flops_csv(tmp_path):

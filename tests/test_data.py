@@ -210,3 +210,17 @@ def test_read_jsonl_rejects_empty_scenario(tmp_path, labeled_4x2, field):
     path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
     with pytest.raises(ValueError, match=r"bad\.jsonl:2: M and K must be >= 1"):
         read_jsonl(path)
+
+
+@pytest.mark.parametrize("field, value", [("M", 2.5), ("K", True),
+                                          ("seed", 1.9), ("seed", "8")])
+def test_read_jsonl_rejects_non_integer_fields(tmp_path, labeled_4x2, field,
+                                               value):
+    """int() would truncate 2.5 and 1.9 and accept true and "8"; a size or
+    seed that is not a JSON integer is refused with path:line instead."""
+    def corrupt(doc):
+        doc[field] = value
+    path = _write_with_bad_second_line(tmp_path, labeled_4x2, corrupt)
+    with pytest.raises(ValueError,
+                       match=rf"bad\.jsonl:2: {field} must be an integer"):
+        read_jsonl(path)

@@ -312,6 +312,20 @@ def test_plan_needs_one_scalar_in_and_out_at_load(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("key, value", [("heads", 2.5), ("heads", True),
+                                        ("sizes", [1, 4.0, 1])])
+def test_plan_with_non_integer_entries_fails_to_load(tmp_path, key, value):
+    """int() would truncate a head count of 2.5 to 2; a plan entry that is
+    not a JSON integer is refused, naming the checkpoint's path."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_model(LayerPlan(sizes=(1, 4, 1)), norm=NORM), str(path))
+    doc = json.loads(path.read_text())
+    doc["plan"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"ckpt\.json: plan \w+ must be an integer"):
+        load_checkpoint(str(path))
+
+
 def _same(a, b) -> bool:
     """Same structure, and arrays with the same dtype, shape and bytes."""
     if isinstance(a, np.ndarray):

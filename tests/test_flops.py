@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cfgnn import engine
 from cfgnn.engine import backward, count_flops, forward, project_powers
 from cfgnn.eval import flop_comparison
 from cfgnn.flops import FlopCounter, NoCounter
@@ -41,6 +42,41 @@ def test_no_counter_keeps_no_tallies():
     c.linear(2, 3, 4)
     c.solve_lu(3, rhs=2)
     assert (c.multiplies, c.adds) == (0, 0)
+
+
+def test_no_counter_overrides_only_the_two_primitives():
+    """Every compound tally goes through `mul` and `add`, so silencing those
+    two silences them all."""
+    assert {name for name in vars(NoCounter) if not name.startswith("__")} \
+        == {"mul", "add"}
+
+
+def test_tallies_stay_python_ints(monkeypatch):
+    """The benchmark JSON-dumps span counts, which a numpy integer would
+    break: every tally stays an int after a count_flops, a counted batched
+    forward plus projection, and a counted 32x9 solve."""
+    counters = []
+
+    class Recording(FlopCounter):
+        def __init__(self):
+            super().__init__()
+            counters.append(self)
+
+    monkeypatch.setattr(engine, "FlopCounter", Recording)
+    assert type(count_flops(32, 9)) is int
+    model = init_model(seed=1)
+    rng = np.random.default_rng(1)
+    counters.append(FlopCounter())
+    y = forward(build_graph(8, 3), rng.standard_normal((4, 8, 3)), model,
+                counter=counters[-1])
+    project_powers(y, model.norm, counter=counters[-1])
+    counters.append(FlopCounter())
+    solve_maxmin(fading_instance(32, 9, 2), counter=counters[-1])
+    assert len(counters) == 3
+    for counter in counters:
+        assert counter.total > 0
+        assert [type(v) for v in (counter.multiplies, counter.adds,
+                                  counter.total)] == [int, int, int]
 
 
 def test_flop_tallies_are_pinned():
