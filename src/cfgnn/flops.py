@@ -33,8 +33,11 @@ class FlopCounter:
     """Mutable tally of multiplies and adds, plus the solver's silent
     events: Newton systems solved, structured steps that failed and went to
     the dense step, regularised retries of a singular or non-descent dense
-    system, steepest-descent fallbacks once every retry failed, and
-    feasibility probes answered by the SINR bound without a Newton system."""
+    system, steepest-descent fallbacks once every retry failed,
+    feasibility probes answered by the SINR bound without a Newton system
+    (probes_certified), and probes answered infeasible by the solver's
+    Lagrangian bound, at probe entry or between Newton systems
+    (probes_dual_certified)."""
 
     multiplies: int = 0
     adds: int = 0
@@ -43,6 +46,7 @@ class FlopCounter:
     newton_retries: int = 0
     newton_fallbacks: int = 0
     probes_certified: int = 0
+    probes_dual_certified: int = 0
 
     @property
     def total(self) -> int:

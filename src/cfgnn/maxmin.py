@@ -34,6 +34,23 @@ barrier gives: above the bound no allocation passes the exact recheck, so
 the bisection takes the same steps and every label keeps its bits; only
 the work counted falls.
 
+Most of the probes that remain infeasible are answered by a Lagrangian
+bound (_dual_bound, Boyd & Vandenberghe, Convex Optimization, 2004, 5.2
+and 11.2) at points the barrier computes anyway.  For any point sigma0
+and user weights lam >= 0 summing to 1, the average sum_k lam_k g_k of
+the cone slacks lies above the worst one; each D_k = sqrt(1 + bs[:,k]' r)
+is convex, so it lies above its tangent at sigma0, whose constant term is
+1/D_k(sigma0); the average is then linear in sigma and its maximum over
+each AP's unit ball is a row norm.  That maximum, B, is at least the
+largest worst-user margin.  Taken at the target t (1 - 2 _FEAS_TOL), a
+negative B means that no allocation passes the exact recheck at
+t (1 - _FEAS_TOL), so the probe answers None, as the barrier would.  It is
+checked before each Newton system at an iterate with s <= 0 (sigma0 the
+iterate, lam proportional to the reciprocal margins that the barrier
+weights its slacks by) and, at probe entry, at the last centred point of
+the same solve.  The bisection takes the same steps and every label keeps
+its bits; only the work counted falls.
+
 Each Newton system has MK+1 unknowns.  Up to _DENSE_MAX_N of them it is
 solved by LU of the dense Hessian; above that, through the Hessian's
 structure (block-diagonal plus rank 2K plus the margin's border) in
@@ -79,6 +96,9 @@ _EQUALISE_PASSES = 4
 _DENSE_MAX_N = 72
 _REFINE_TOL = 1e-10
 _REFINE_STEPS = 3
+# _dual_bound measures margins at the target t (1 - 2 _FEAS_TOL): the gains
+# divided by sqrt(t) grow by this factor.
+_DUAL_GAIN = 1.0 / math.sqrt(1.0 - 2.0 * _FEAS_TOL)
 
 
 @dataclass
@@ -94,6 +114,15 @@ class MaxMinSolution:
 
 class SolverError(RuntimeError):
     """Raised when no allocation gives every user a positive SINR."""
+
+
+@dataclass
+class _Centre:
+    """The last centred barrier point of one solve: sigma and its _state.
+    solve_maxmin makes one per call; each probe reads it for the entry
+    bound and overwrites it after each centring."""
+    sig: np.ndarray | None = None
+    state: tuple | None = None
 
 
 def _state(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray, s: float) -> tuple:
@@ -353,12 +382,19 @@ def _dense_direction(sig: np.ndarray, terms: tuple, counter: FlopCounter
 
 
 def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
-            s: float, counter: FlopCounter) -> tuple[np.ndarray, float]:
+            s: float, counter: FlopCounter
+            ) -> tuple[np.ndarray, float, tuple] | None:
     """Newton iterations minimising the barrier at a fixed objective weight;
-    they stop early when the line search finds no decrease."""
+    they stop early when the line search finds no decrease.  Returns the
+    centred (sigma, s, state), or None when _dual_bound, checked before
+    each Newton system at an iterate with s <= 0, is negative: then no
+    allocation reaches the target."""
     state = _state(sa, bs, sig, s)
     phi = _phi(weight, s, state[4], state[1])
     for _ in range(_NEWTON_MAX_STEPS):
+        # At s > 0 the iterate's own margins are positive, so B is too.
+        if s <= 0.0 and _dual_bound(sa, bs, sig, state, counter) < 0.0:
+            return None
         dsig, ds, grad, slope = _newton_direction(weight, sa, bs, sig,
                                                   state, counter)
         if -slope / 2.0 <= _NEWTON_DEC2_TOL:
@@ -376,12 +412,36 @@ def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
             step *= 0.5
         else:
             break
-    return sig, s
+    return sig, s, state
+
+
+def _dual_bound(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray, state: tuple,
+                counter: FlopCounter) -> float:
+    """The Lagrangian bound B of the module docstring, times sum(lam) > 0:
+    at least the largest worst-user margin over all allocations in the
+    unit balls at the target t (1 - 2 _FEAS_TOL), times sum(lam).  Here
+    sa = sa / sqrt(t), state = _state(sa, bs, sig, s) for any s, and
+
+        B = sum_m || lam * sa[m, :] / sqrt(1 - 2 _FEAS_TOL)
+                     - (bs[m, :] @ w) * sig[m, :] || - sum(w),   w = lam / q,
+
+    with q = sqrt(1 + bs' r) at sig (state[2]) and lam the reciprocal
+    margins of state, 1 / state[4].  B is linear in lam, so leaving lam
+    unnormalised keeps its sign."""
+    m_ap, k_ue = sig.shape
+    lam = 1.0 / state[4]
+    w = lam / state[2]
+    rows = (_DUAL_GAIN * lam) * sa - (bs @ w)[:, None] * sig
+    bound = float(np.sqrt(np.einsum("mk,mk->m", rows, rows)).sum() - w.sum())
+    counter.mul(3 * k_ue + 2 * m_ap * k_ue + m_ap)     # lam, w, gain, rows, sqrt
+    counter.dot(k_ue, 2 * m_ap)                        # bs @ w, row norms
+    counter.add(m_ap * k_ue + m_ap + k_ue + 1)         # rows, the two sums, B
+    return bound
 
 
 def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
                   counter: FlopCounter, sig_init: np.ndarray | None = None,
-                  full_center: bool = False
+                  full_center: bool = False, centre: _Centre | None = None
                   ) -> tuple[np.ndarray, float] | None:
     """Decide feasibility of SINR target t: (eta, achieved) when feasible,
     with achieved the exact worst-user SINR of eta, and None when not.
@@ -391,6 +451,25 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
     an SINR above the bound, so none could pass the recheck
     achieved >= t (1 - _FEAS_TOL) below; the factor 2 leaves room for the
     rounding of both sides.  The barrier would have answered None too.
+
+    Past that test, a negative Lagrangian bound B (_dual_bound) answers
+    None, counted in counter.probes_dual_certified.  For any point sigma0
+    and weights lam on the simplex, B is at least the largest worst-user
+    margin at t (1 - 2 _FEAS_TOL): the worst margin is at most the
+    lam-average; each D_k lies above its tangent at sigma0, whose constant
+    term is 1/D_k(sigma0); the average is then linear in sigma and peaks
+    at each AP's row norm.  So B < 0 means no allocation reaches
+    t (1 - 2 _FEAS_TOL), none passes the recheck, and the barrier would
+    answer None too.  The factor 2 again covers rounding: an allocation
+    that passes the recheck has every margin at t (1 - 2 _FEAS_TOL) at
+    least about 5e-7 D_k >= 5e-7, so B >= 5e-7, while B's rounding is
+    near 1e-16 of its terms, which are at most about 1 wherever B is
+    near 0.  B is taken at probe entry at the last centred point in
+    `centre` (of an earlier probe of the same solve), and inside the
+    barrier before each Newton system at an iterate with s <= 0.  It holds
+    for any sigma0 and weights, so the answer never depends on which point
+    it is taken at.  `centre` is updated after each centring; without one,
+    the probe keeps its points to itself.
     """
     if t * (1.0 - 2.0 * _FEAS_TOL) > _sinr_cap(sa, bs, counter):
         counter.probes_certified += 1
@@ -402,6 +481,12 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
     # target SINR is 1e-9 or 1e+2, and shares its scale with the unit power
     # balls.  The exact recheck below still uses the unscaled gains.
     sa_t = sa / math.sqrt(t)
+    if centre is None:
+        centre = _Centre()
+    elif (centre.sig is not None
+          and _dual_bound(sa_t, bs, centre.sig, centre.state, counter) < 0.0):
+        counter.probes_dual_certified += 1
+        return None
 
     if sig_init is None:
         sig = np.full((m_ap, k_ue), 1.0 / math.sqrt(2.0 * k_ue))
@@ -420,7 +505,12 @@ def _margin_solve(sa: np.ndarray, bs: np.ndarray, t: float,
     gap_floor = 1e-12 * scale0
     best = None
     while True:
-        sig, s = _center(weight, sa_t, bs, sig, s, counter)
+        centred = _center(weight, sa_t, bs, sig, s, counter)
+        if centred is None:
+            counter.probes_dual_certified += 1
+            return None
+        sig, s, centre.state = centred
+        centre.sig = sig
         gap = n_constr / weight
         if s + 2.0 * gap < 0.0:
             return None
@@ -482,8 +572,11 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     half the worst SINR of equal power (always admissible) is the lower
     bracket instead.
     Probes above the closed-form bound of _sinr_cap are answered
-    infeasible without a Newton system: the answer the barrier would give,
-    so the steps and the returned bits are those of a full solve.
+    infeasible without a Newton system, and most other infeasible probes
+    by the Lagrangian bound of _dual_bound, at probe entry from the last
+    centred point of this solve or inside the barrier: the answer the
+    barrier would give, so the steps and the returned bits are those of a
+    full solve.
     Bisection maintains a feasible incumbent allocation; each feasible probe
     raises the lower bracket to the SINR its allocation actually achieves,
     which typically saves several iterations.  The final allocation comes
@@ -502,9 +595,11 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
     sa = np.sqrt(rho_d * alpha)
     bs = rho_d * beta
 
+    centre = _Centre()
     hi = float(np.max(rho_d * np.sqrt(alpha).sum(axis=0) ** 2))
     lo = _T_FLOOR
-    probe = _margin_solve(sa, bs, lo, counter) if lo < hi else None
+    probe = (_margin_solve(sa, bs, lo, counter, centre=centre) if lo < hi
+             else None)
     if probe is None:
         eta_eq = equal_power(*beta.shape)
         t_eq = float(np.min(compute_sinr(beta, alpha, eta_eq, rho_d)))
@@ -514,7 +609,8 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
                               "estimate quality alpha underflows to 0), so "
                               "no allocation has a positive worst-user SINR")
         # Equal power itself witnesses t_eq.
-        probe = _margin_solve(sa, bs, lo, counter) or (eta_eq, t_eq)
+        probe = (_margin_solve(sa, bs, lo, counter, centre=centre)
+                 or (eta_eq, t_eq))
     eta, achieved = probe
     lo = min(max(lo, achieved), hi * (1.0 - 1e-12))
 
@@ -527,14 +623,15 @@ def solve_maxmin(beta: np.ndarray, counter: FlopCounter | None = None
                 # it fails, the incumbent stays.
                 eta, _ = _margin_solve(sa, bs, lo, counter,
                                        sig_init=np.sqrt(eta),
-                                       full_center=True) or (eta, None)
+                                       full_center=True,
+                                       centre=centre) or (eta, None)
                 sinr = _sinr_scaled(sa, bs, np.sqrt(eta))
             if _spread_ok(sinr) or (hi - lo) <= 4.0 * np.finfo(float).eps * lo:
                 break
         mid = 0.5 * (lo + hi)
         near_end = (hi - lo) <= 16.0 * _REL_TOL * lo
         probe = _margin_solve(sa, bs, mid, counter, sig_init=np.sqrt(eta),
-                              full_center=near_end)
+                              full_center=near_end, centre=centre)
         iterations += 1
         if probe is None:
             hi = mid

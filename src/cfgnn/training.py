@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (NormStats, Sample, compute_norm_stats, denormalize_output,
-                   normalize_input)
+                   normalize_input, require_int)
 from .engine import backward, forward
 from .graph import build_graph
 from .model import GnnModel, init_model, load_checkpoint, save_checkpoint
@@ -220,6 +220,22 @@ def _validation_loss(model: GnnModel, buckets: list[_Bucket]) -> float:
     return total / max(count, 1)
 
 
+def _saved_best(value) -> float:
+    """An epoch checkpoint's extra.best_val: a finite JSON number, or null
+    (infinity) while no validation loss exists."""
+    if value is None:
+        return math.inf
+    if type(value) in (int, float):
+        try:
+            best = float(value)
+        except OverflowError:                          # an int past float range
+            best = math.inf
+        if math.isfinite(best):
+            return best
+    raise ValueError(f"extra.best_val must be a finite number or null, "
+                     f"got {value!r}")
+
+
 def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
           out_dir: str, resume_from: str | None = None
           ) -> tuple[GnnModel, list[dict]]:
@@ -231,7 +247,10 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
     epoch checkpoint continues bit-identically, best.json included, because
     batch shuffling is a pure function of (seed, epoch) and the optimizer
     state and best validation loss ride along in the checkpoint; cfg may
-    differ from the checkpoint's fingerprint in epochs only.
+    differ from the checkpoint's fingerprint in epochs only.  A checkpoint
+    whose extra.epoch or extra.adam_t is not a JSON integer, or whose
+    extra.best_val is neither a finite number nor null, raises ValueError
+    naming its path.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -242,16 +261,19 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
         model, rest = load_checkpoint(resume_from)
         stats = model.norm
         try:
-            opt = AdamState(m={}, v={}, t=int(rest["extra"]["adam_t"]))
+            opt = AdamState(m={}, v={}, t=require_int(rest["extra"]["adam_t"],
+                                                      "extra.adam_t"))
             arrays = rest["extra_arrays"]
             for name in model.params:
                 opt.m[name] = arrays[f"adam_m.{name}"]
                 opt.v[name] = arrays[f"adam_v.{name}"]
-            start_epoch = int(rest["extra"]["epoch"])
-            saved_best = rest["extra"]["best_val"]
+            start_epoch = require_int(rest["extra"]["epoch"], "extra.epoch")
+            best_val = _saved_best(rest["extra"]["best_val"])
         except KeyError as exc:
             raise ValueError(f"{resume_from}: not an epoch checkpoint, "
                              f"it lacks {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{resume_from}: {exc}") from None
         saved = rest["fingerprint"]
         changed = [f"{key} {value!r} (checkpoint {saved.get(key)!r})"
                    for key, value in cfg.fingerprint().items()
@@ -259,7 +281,6 @@ def train(train_set: list[Sample], val_set: list[Sample], cfg: TrainConfig,
         if changed:
             raise ValueError(f"{resume_from}: training config differs from "
                              f"the checkpoint's: {', '.join(changed)}")
-        best_val = math.inf if saved_best is None else float(saved_best)
     else:
         stats = compute_norm_stats(train_set)
         model = init_model(seed=cfg.seed, norm=stats)

@@ -26,7 +26,7 @@ FIXTURE_RUN_SHA256 = {
     "run/checkpoints/epoch_004.json":
         "d43ecda75996bb52d22e193b00caea171464c1a7fb15c87b579653f476a1533a",
     "reports/summary.csv":
-        "6649013bdc9bbd190c5bfe03c5ead8ab254e1f17287e0eb7d2fe9894944503dc",
+        "42bb212ffa06a666e6f4a93d6e71c17396620bd2741bf5ce593f0418faf8c06a",
     "reports/cdf_8x3_urban.csv":
         "63dbfdbd7c0a4dbf838dde83f3fd7d2fa7c9251616e54c2f297df5f026f0049f",
 }
@@ -278,7 +278,10 @@ def test_malformed_dataset_exits_one_with_line_number(tmp_path, capsys):
 def test_broken_checkpoint_exits_one_naming_the_file(tmp_path, capsys):
     """A checkpoint that does not decode, lacks a section, has a wrong
     shape, holds a NaN or has a fingerprint that is not an object fails on
-    load with its path, through `eval` and `train --resume-from` alike."""
+    load with its path, through `eval` and `train --resume-from` alike.
+    An epoch count or Adam step that is not a JSON integer, or a best
+    validation loss that is neither a finite number nor null, fails
+    `train --resume-from` the same way."""
     raw, labeled = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
     main(["gen-data", "--scenarios", "2x2:urban", "--count", "8",
           "--out", str(raw), "--seed", "2"])
@@ -330,6 +333,25 @@ def test_broken_checkpoint_exits_one_naming_the_file(tmp_path, capsys):
             assert main(argv) == 1, (name, argv[0])
             assert f"error: {path}: {message}" in capsys.readouterr().err, \
                 (name, argv[0])
+    resume_cases = [
+        ("list_epoch", edited(("extra", "epoch"), [2]),
+         "extra.epoch must be an integer, got [2]"),
+        ("string_epoch", edited(("extra", "epoch"), "2"),
+         "extra.epoch must be an integer, got '2'"),
+        ("fractional_adam_t", edited(("extra", "adam_t"), 2.5),
+         "extra.adam_t must be an integer, got 2.5"),
+        ("nan_best_val", edited(("extra", "best_val"), float("nan")),
+         "extra.best_val must be a finite number or null, got nan"),
+        ("string_best_val", edited(("extra", "best_val"), "abc"),
+         "extra.best_val must be a finite number or null, got 'abc'"),
+    ]
+    for name, body, message in resume_cases:
+        path = tmp_path / f"{name}.json"
+        path.write_text(body)
+        assert main(["train", "--data", str(labeled), "--config", str(cfg),
+                     "--out", str(tmp_path / "resumed"),
+                     "--resume-from", str(path)]) == 1, name
+        assert f"error: {path}: {message}" in capsys.readouterr().err, name
     # best.json carries no optimizer state, so it cannot be resumed from.
     assert main(["train", "--data", str(labeled), "--config", str(cfg),
                  "--out", str(tmp_path / "resumed"),
@@ -357,3 +379,24 @@ def test_fixture_run_bytes_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in FIXTURE_RUN_SHA256}
     assert digests == FIXTURE_RUN_SHA256
+
+
+def test_benchmark_fixtures_rebuild_byte_for_byte(tmp_path):
+    """`perfbench/make_fixture.py`'s build, with its seeds, counts and
+    scenario (`cfgnn gen-data`, then `cfgnn --threads 1 solve`), run into
+    tmp_path in a fresh one-BLAS-thread process, reproduces the committed
+    fixtures that train-8x3 trains on byte for byte."""
+    env = subprocess_env(PYTHONDONTWRITEBYTECODE="1",
+                         **{var: "1" for var in _BLAS_VARS})
+    script = ("import sys; from pathlib import Path; "
+              "sys.path.insert(0, sys.argv[1]); import make_fixture; "
+              "make_fixture.build(Path(sys.argv[2]))")
+    result = subprocess.run([sys.executable, "-c", script, str(FIXTURES.parent),
+                             str(tmp_path)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    names = sorted(path.name for path in FIXTURES.glob("*.jsonl"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    stale = [name for name in names
+             if (tmp_path / name).read_bytes() != (FIXTURES / name).read_bytes()]
+    assert stale == []

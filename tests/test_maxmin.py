@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -239,72 +240,72 @@ def _sweep_draws() -> dict[str, np.ndarray]:
 # One digest per draw of `_sweep_draws`, measured with numpy 2.4.6; see
 # test_solver_bits_are_pinned_on_every_branch for what it covers.
 _SWEEP_PINS = {
-    "1x1:urban#0": "6fc1a0217dfc2088",
-    "1x1:urban#1": "fe390cb6ff85cc2b",
-    "1x1:urban#2": "ee45cee079e3e3ab",
-    "1x1:urban#3": "7bdf2036f31e1f66",
-    "1x1:suburban#0": "937f16d77f3eb342",
-    "1x1:suburban#1": "249ab2aacb0c1032",
-    "1x1:suburban#2": "1483505182b6a41a",
-    "1x1:suburban#3": "ac2485d4884b8b7d",
-    "1x1:rural#0": "1446403a7179d5ca",
-    "1x1:rural#1": "f35fde498b86a6de",
-    "1x1:rural#2": "ea342c48a2b535d8",
-    "1x1:rural#3": "457e7611d07fad1b",
-    "2x3:urban#0": "54b1fcac58b74532",
-    "2x3:urban#1": "a6c12923bb492391",
-    "2x3:urban#2": "b1e466e3619e65a6",
-    "2x3:urban#3": "8866356347eda92a",
-    "2x3:suburban#0": "f1ba981e130a5369",
-    "2x3:suburban#1": "7dcf8fc9c6444f40",
-    "2x3:suburban#2": "06e72b8bd612dfbe",
-    "2x3:suburban#3": "6fcde7c366e98576",
-    "2x3:rural#0": "5770f7f0b6d77cdb",
-    "2x3:rural#1": "917df9c656d46de5",
-    "2x3:rural#2": "992c3b71c9aeb249",
-    "2x3:rural#3": "c734c6b9f0de67f8",
-    "3x2:urban#0": "a603246f2bbd711e",
-    "3x2:urban#1": "d13e9fa6a345e09b",
-    "3x2:urban#2": "2ab07a667ff23cef",
-    "3x2:urban#3": "9e6c04598edbcaf4",
-    "3x2:suburban#0": "fd48b665c552ef26",
-    "3x2:suburban#1": "08853005c94e3ea4",
-    "3x2:suburban#2": "54ece98a56714888",
-    "3x2:suburban#3": "8dd44850c2d29ad0",
-    "3x2:rural#0": "6b9fd04b4486eb8a",
-    "3x2:rural#1": "f55cc81ecdaff696",
-    "3x2:rural#2": "e42b1bf2d884f988",
-    "3x2:rural#3": "cc738a05aa7518ec",
-    "4x3:urban#0": "4607ab3a4e6152fc",
-    "4x3:urban#1": "533412e0740deab6",
-    "4x3:urban#2": "dba0c0dab4f29d43",
-    "4x3:urban#3": "fef54f2e2706513f",
-    "4x3:suburban#0": "cbf211cc5b7f919e",
-    "4x3:suburban#1": "cae8c2462fe76cf9",
-    "4x3:suburban#2": "e7a5ad0b5b54a1d6",
-    "4x3:suburban#3": "2b58649b902b1152",
-    "4x3:rural#0": "19c90ddd95fbcb4d",
-    "4x3:rural#1": "3104a44b6678cdb3",
-    "4x3:rural#2": "bf847280d7cf1386",
-    "4x3:rural#3": "cbc71a8f3fcc29d9",
-    "8x3:urban#0": "fd5bafd3221078c5",
-    "8x3:urban#1": "53c13e2a81beec7d",
-    "8x3:urban#2": "ee3fea8c27a69c4d",
-    "8x3:urban#3": "db2c395aec4637e7",
-    "8x3:suburban#0": "59ae7a931989ed22",
-    "8x3:suburban#1": "c805cdfc6fd66f65",
-    "8x3:suburban#2": "e9fbc1c0256dfb1b",
-    "8x3:suburban#3": "3109881d36fb6822",
-    "8x3:rural#0": "070ed9871b86c995",
-    "8x3:rural#1": "899c245718cebc8a",
-    "8x3:rural#2": "ee043dfe3040c665",
-    "8x3:rural#3": "fa1e46c712627829",
-    "16x5:rural": "6220a52092a7773b",
-    "24x8:suburban": "17a84c1a9e6c1a02",
-    "equalised#0": "fa9db684937663d1",
-    "equalised#1": "fdd063ebb58d166f",
-    "equalised#2": "5bf897eeb007194c",
-    "equalised#3": "9feeaa36f1490ee5",
+    "1x1:urban#0": "0606d416d706cc03",
+    "1x1:urban#1": "27208f71664773f8",
+    "1x1:urban#2": "fc43dbaf841b4337",
+    "1x1:urban#3": "7f3dea44ca81a903",
+    "1x1:suburban#0": "3f161fb5970f2f44",
+    "1x1:suburban#1": "7acffebffcce9df8",
+    "1x1:suburban#2": "166423d7ca9377c2",
+    "1x1:suburban#3": "29e64bc4a05c4e2f",
+    "1x1:rural#0": "700ceaf9aefc189c",
+    "1x1:rural#1": "1956a2a4b1157283",
+    "1x1:rural#2": "18a10e18bf5ec8d9",
+    "1x1:rural#3": "e1472f4910c4e2ac",
+    "2x3:urban#0": "873071475d27f33e",
+    "2x3:urban#1": "21a9528d120bb7c3",
+    "2x3:urban#2": "9a657588f45b3f56",
+    "2x3:urban#3": "326165098b4c5f55",
+    "2x3:suburban#0": "12a5df9bc989eeb5",
+    "2x3:suburban#1": "a68e359797d4739e",
+    "2x3:suburban#2": "8db6d36cff19f5f8",
+    "2x3:suburban#3": "cca3198214565fcb",
+    "2x3:rural#0": "7da707544038da0d",
+    "2x3:rural#1": "d5678db0019681ef",
+    "2x3:rural#2": "4c44ce23f86da838",
+    "2x3:rural#3": "879905201ee59a75",
+    "3x2:urban#0": "6646dded33c4f71d",
+    "3x2:urban#1": "8ef2ac1251d336f1",
+    "3x2:urban#2": "1124b39cde90e72e",
+    "3x2:urban#3": "e805554b05720430",
+    "3x2:suburban#0": "cb2423237729001b",
+    "3x2:suburban#1": "53c26527a2e10064",
+    "3x2:suburban#2": "b06082ab5a1284c3",
+    "3x2:suburban#3": "941c299eb8483f30",
+    "3x2:rural#0": "c0f5e5cb85c2cead",
+    "3x2:rural#1": "df615bc04bb542ff",
+    "3x2:rural#2": "a8a39a6a182b21d2",
+    "3x2:rural#3": "59dd5b622af0f653",
+    "4x3:urban#0": "2701495e099cce5f",
+    "4x3:urban#1": "053bf1d316e57dc4",
+    "4x3:urban#2": "781d5909350edcf9",
+    "4x3:urban#3": "0458338397aaea83",
+    "4x3:suburban#0": "0921849dd675bd46",
+    "4x3:suburban#1": "7b2f57e99567510c",
+    "4x3:suburban#2": "8fd2705131e49be2",
+    "4x3:suburban#3": "96e4d1a7a7234f09",
+    "4x3:rural#0": "39b0de46cd909521",
+    "4x3:rural#1": "63a8737dbe4ed43c",
+    "4x3:rural#2": "38096e12749fa302",
+    "4x3:rural#3": "3abd0149e8fc8753",
+    "8x3:urban#0": "579d9a4a4eef486f",
+    "8x3:urban#1": "ef1465be7201c4c1",
+    "8x3:urban#2": "1223a76e3e6dc626",
+    "8x3:urban#3": "5eb05c05440d5a74",
+    "8x3:suburban#0": "329f0d1550ada53a",
+    "8x3:suburban#1": "2e156bd529e45fb6",
+    "8x3:suburban#2": "d2365d6e1184da9e",
+    "8x3:suburban#3": "3263b40bcdb7d11c",
+    "8x3:rural#0": "b4ec74f1b28901b8",
+    "8x3:rural#1": "8c52c2f1f1fc6913",
+    "8x3:rural#2": "97fd9041bb0fe1fc",
+    "8x3:rural#3": "671251f11c4b3e8e",
+    "16x5:rural": "17f67f406ce3e5ad",
+    "24x8:suburban": "5d7f553417951598",
+    "equalised#0": "77aadd950cc5e8e6",
+    "equalised#1": "8fe12e6b86cb8dcd",
+    "equalised#2": "57e05846216c25fe",
+    "equalised#3": "fe3784a56fabba1d",
 }
 
 
@@ -403,16 +404,17 @@ def test_solver_labels_are_pinned_on_every_branch():
 def test_solver_bits_are_pinned_on_every_branch(monkeypatch):
     """Each draw's t_star, iterations, converged flag, eta and sinr bytes,
     FLOP tallies, Newton event counts and probes certified by the SINR
-    bound, hashed to 16 hex digits.  A failure lists the draws whose solve
-    moved."""
+    bound and by the Lagrangian bound, hashed to 16 hex digits.  A failure
+    lists the draws whose solve moved."""
     margin_solve = maxmin._margin_solve
     weak_starts = []
 
-    def recorded(sa, bs, t, counter, sig_init=None, full_center=False):
+    def recorded(sa, bs, t, counter, sig_init=None, full_center=False,
+                 centre=None):
         if sig_init is None and t != maxmin._T_FLOOR:
             weak_starts.append(t)
         return margin_solve(sa, bs, t, counter, sig_init=sig_init,
-                            full_center=full_center)
+                            full_center=full_center, centre=centre)
 
     monkeypatch.setattr(maxmin, "_margin_solve", recorded)
     got = {}
@@ -422,10 +424,69 @@ def test_solver_bits_are_pinned_on_every_branch(monkeypatch):
         got[name] = _solution_digest(sol, (
             counter.multiplies, counter.adds, counter.newton_systems,
             counter.newton_dense_fallbacks, counter.newton_retries,
-            counter.newton_fallbacks, counter.probes_certified))
+            counter.newton_fallbacks, counter.probes_certified,
+            counter.probes_dual_certified))
     assert len(weak_starts) == 17
     assert sorted(name for name in got if got[name] != _SWEEP_PINS.get(name)) == []
     assert got.keys() == _SWEEP_PINS.keys()
+
+
+@pytest.mark.parametrize("m, k, morphology, run_seed", [
+    (1, 1, "urban", 5), (2, 3, "rural", 5), (8, 3, "urban", 815),
+    (32, 9, "urban", 2017)])
+def test_dual_bound_is_weak_duality_at_feasible_targets(m, k, morphology,
+                                                        run_seed):
+    """At every target t <= t_star (1 - 1e-3) the Lagrangian bound is not
+    negative, whatever sigma0 (any real M x K array) and whatever weights
+    on the simplex it is taken at.  The last size is the label-32x9
+    instance."""
+    beta = generate_unlabeled([(m, k, morphology, 1)], run_seed=run_seed)[0].beta
+    alpha, rho_d = link(beta)
+    sa, bs = np.sqrt(rho_d * alpha), rho_d * beta
+    t_star = solve_maxmin(beta).t_star
+    rng = np.random.default_rng(m * k)
+    for t in t_star * (1.0 - 1e-3) * np.array([1.0, 0.9, 0.3, 1e-3]):
+        sa_t = sa / math.sqrt(t)
+        for scale in (1e-3, 0.3, 1.0, 10.0):
+            for _ in range(10):
+                sig0 = scale * rng.standard_normal((m, k))
+                lam = rng.dirichlet(np.ones(k))
+                state = maxmin._state(sa_t, bs, sig0, 0.0)[:4] + (1.0 / lam,)
+                bound = maxmin._dual_bound(sa_t, bs, sig0, state, NoCounter())
+                assert bound >= 0.0, (t / t_star, scale)
+
+
+def test_every_probe_the_dual_bound_answers_is_infeasible_without_it(
+        monkeypatch):
+    """On the 66 sweep draws, each probe that the Lagrangian bound answers
+    (at entry or between Newton systems) returns None again from the
+    barrier alone, with the bound monkeypatched away."""
+    margin_solve = maxmin._margin_solve
+    answered = []
+
+    def recorded(sa, bs, t, counter, sig_init=None, full_center=False,
+                 centre=None):
+        before = counter.probes_dual_certified
+        probe = margin_solve(sa, bs, t, counter, sig_init=sig_init,
+                             full_center=full_center, centre=centre)
+        if counter.probes_dual_certified > before:
+            assert probe is None
+            answered.append((sa, bs, t, sig_init, full_center))
+        return probe
+
+    monkeypatch.setattr(maxmin, "_margin_solve", recorded)
+    total = 0
+    for beta in _sweep_draws().values():
+        counter = FlopCounter()
+        solve_maxmin(beta, counter=counter)
+        total += counter.probes_dual_certified
+    monkeypatch.undo()
+    assert len(answered) == total > 300
+
+    monkeypatch.setattr(maxmin, "_dual_bound", lambda *args: math.inf)
+    for sa, bs, t, sig_init, full_center in answered:
+        assert maxmin._margin_solve(sa, bs, t, NoCounter(), sig_init=sig_init,
+                                    full_center=full_center) is None
 
 
 def test_solver_counts_flops_when_instrumented():
@@ -572,6 +633,7 @@ print(json.dumps({"t_star": sol.t_star, "iterations": sol.iterations,
                   "lu_calls": counter.lu_calls, **calls,
                   "newton_systems": counter.newton_systems,
                   "probes_certified": counter.probes_certified,
+                  "probes_dual_certified": counter.probes_dual_certified,
                   "dense_fallbacks": counter.newton_dense_fallbacks,
                   "minflt": faults}))
 """
@@ -585,8 +647,10 @@ def test_benchmark_32x9_instance_golden_and_fault_budget():
     one per system plus one per refinement correction.  11 of the 25
     feasibility probes lie above the SINR bound and solve no Newton system;
     before the bound answered them, the same bits took 797 systems and 921
-    LU calls.  The dense step gave t_star = 2.186903999942864 in 24
-    bisection steps and 847 systems.
+    LU calls.  The Lagrangian bound answers 8 more, at probe entry or
+    part-way through the barrier; before it did, the same bits took 468
+    systems and 592 LU calls.  The dense step gave t_star =
+    2.186903999942864 in 24 bisection steps and 847 systems.
     Fresh (MK+1)^2 arrays per Newton system cost about 295 minor page
     faults each under glibc's default mmap threshold; the structured step
     allocates no array of that size."""
@@ -600,9 +664,10 @@ def test_benchmark_32x9_instance_golden_and_fault_budget():
     assert got["eta_sha256"] == ("20b9bda7b47b3a041e84d98422cc0093"
                                  "379275b447fe3de96bb2e772c5f5741d")
     assert (got["probes"], got["probes_certified"]) == (25, 11)
-    assert got["systems"] == got["newton_systems"] == 468
+    assert got["probes_dual_certified"] == 8
+    assert got["systems"] == got["newton_systems"] == 365
     assert got["dense_fallbacks"] == 0
-    assert got["lu_calls"] == 592
+    assert got["lu_calls"] == 479
     assert got["minflt"] < 30 * got["lu_calls"]
 
 
