@@ -4,7 +4,10 @@ Convention: one multiply or one add is one FLOP.  Divisions, square roots,
 exponentials and logarithms are tallied as multiplies.  Reductions count one
 add per accumulated term (zero-initialised accumulator), so a length-n dot
 product costs n multiplies plus n adds.  Comparisons, copies and index
-arithmetic are free.
+arithmetic are free.  The solver's line search tallies the trials that a
+search testing one trial at a time would test: it tests later trials in
+stacked passes, and the trials of a pass past the one it accepts are not
+counted.
 
 Counts are recorded at runtime from the actual shapes of the executed numpy
 operations, so a counted run reflects what the vectorised implementation
@@ -35,9 +38,10 @@ class FlopCounter:
     the dense step, regularised retries of a singular or non-descent dense
     system, steepest-descent fallbacks once every retry failed,
     feasibility probes answered by the SINR bound without a Newton system
-    (probes_certified), and probes answered infeasible by the solver's
+    (probes_certified), probes answered infeasible by the solver's
     Lagrangian bound, at probe entry or between Newton systems
-    (probes_dual_certified)."""
+    (probes_dual_certified), and line-search trials rejected (backtracks,
+    as a search testing one trial at a time counts them)."""
 
     multiplies: int = 0
     adds: int = 0
@@ -47,6 +51,7 @@ class FlopCounter:
     newton_fallbacks: int = 0
     probes_certified: int = 0
     probes_dual_certified: int = 0
+    backtracks: int = 0
 
     @property
     def total(self) -> int:

@@ -51,6 +51,17 @@ weights its slacks by) and, at probe entry, at the last centred point of
 the same solve.  The bisection takes the same steps and every label keeps
 its bits; only the work counted falls.
 
+Each Newton step ends in a backtracking line search (Boyd & Vandenberghe,
+9.2 and 11.3): the first of the steps 1, 1/2, ..., 2^-59 that passes the
+Armijo test.  Most steps take the full step, which is tested alone; the
+halvings are tested a few at a time, as stacks of trial points.  _state and
+_phi take a leading stack axis and give each stacked row the bits of its
+own 1-D call, so the search accepts the trial, and the solver returns the
+bits, of a search that tests one trial at a time.  It tallies that search's
+work, too: trials in a pass past the accepted one are not counted.  This
+matters where the barrier weight is large, as in the last, fully centred
+probe, where steps halve twenty times and more.
+
 Each Newton system has MK+1 unknowns.  Up to _DENSE_MAX_N of them it is
 solved by LU of the dense Hessian; above that, through the Hessian's
 structure (block-diagonal plus rank 2K plus the margin's border) in
@@ -74,6 +85,13 @@ from .sinr import compute_sinr, link
 _LOG_BARRIER_MU = 30.0
 _NEWTON_MAX_STEPS = 60
 _NEWTON_DEC2_TOL = 2e-9
+# The line search's trial steps 2^-i, i < 60, exact powers of two.  After
+# the full step, the halvings are tested in stacked passes of trials
+# [lo, hi): small first, since most steps that halve at all halve a few
+# times, and at most 16 wide (a 16-trial 32x9 sigma stack is 37 KB).
+_HALVINGS = np.ldexp(1.0, -np.arange(60))
+_HALVINGS.flags.writeable = False
+_BACKTRACK_PASSES = ((1, 7), (7, 23), (23, 39), (39, 55), (55, 60))
 # Outer bisection.  A probe is feasible when its exact worst-user SINR is
 # within _FEAS_TOL (relative) of the target; bisection stops once the bracket
 # is _REL_TOL wide and the per-user SINR spread of the incumbent is below
@@ -125,31 +143,44 @@ class _Centre:
     state: tuple | None = None
 
 
-def _state(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray, s: float) -> tuple:
+def _state(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
+           s: float | np.ndarray) -> tuple:
     """Row norms, cone slacks and barrier residuals at (sigma, s), with the
-    gains already divided by sqrt(t)."""
-    r = np.einsum("mk,mk->m", sig, sig)
+    gains already divided by sqrt(t).  sig may carry a leading stack axis;
+    s is then a column of one value per row.  Each row gets the bits of its
+    own 1-D call (the stacked bs' r is a matmul of bs' with each row: r @ bs
+    has other bits)."""
+    r = np.einsum("...mk,...mk->...m", sig, sig)
     ball = 1.0 - r
-    q2 = 1.0 + bs.T @ r
+    q2 = 1.0 + np.matmul(bs.T, r[..., None])[..., 0]
     q = np.sqrt(q2)
-    n_lin = np.einsum("mk,mk->k", sa, sig)
+    n_lin = np.einsum("mk,...mk->...k", sa, sig)
     g = n_lin - q
     margins = g - s
     return r, ball, q, g, margins
 
 
-def _phi(weight: float, s: float, margins: np.ndarray, ball: np.ndarray) -> float:
-    # Outside the interior, or at a NaN slack, the barrier is +inf.
-    if not (margins.min() > 0.0 and ball.min() > 0.0):
-        return math.inf
-    return -weight * s - float(np.log(margins).sum()) - float(np.log(ball).sum())
+def _phi(weight: float, s: float | np.ndarray, margins: np.ndarray,
+         ball: np.ndarray) -> np.floating | np.ndarray:
+    """The barrier at (sigma, s), +inf outside the interior or at a NaN
+    slack, per row of a stack of margins and balls (s one value per row).
+
+    Inside, every log is finite.  Outside, the log of a zero slack is -inf
+    and of a negative or NaN one NaN, while none is +inf (ball <= 1, and
+    at a finite s a margin is finite or NaN), so the row's value is +inf or
+    NaN, and fmin makes it +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = (-weight * s - np.log(margins).sum(axis=-1)
+               - np.log(ball).sum(axis=-1))
+    return np.fmin(phi, math.inf)
 
 
-def _count_state(counter: FlopCounter, m: int, k: int) -> None:
+def _count_state(counter: FlopCounter, m: int, k: int, times: int = 1) -> None:
     # Row norms, bs.T @ r and n_lin: three MK-term dot sets.  Then q2's
-    # + 1 and sqrt (K each), and g, margins and ball (3K + M adds).
-    counter.mul(3 * m * k + k)
-    counter.add(3 * m * k + 4 * k + m)
+    # + 1 and sqrt (K each), and g, margins and ball (3K + M adds); `times`
+    # such states.
+    counter.mul(times * (3 * m * k + k))
+    counter.add(times * (3 * m * k + 4 * k + m))
 
 
 def _newton_terms(weight: float, sa: np.ndarray, bs: np.ndarray,
@@ -388,9 +419,13 @@ def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
     they stop early when the line search finds no decrease.  Returns the
     centred (sigma, s, state), or None when _dual_bound, checked before
     each Newton system at an iterate with s <= 0, is negative: then no
-    allocation reaches the target."""
+    allocation reaches the target.
+
+    Each step is found by _line_search, whose stacked passes accept the
+    trial a one-at-a-time backtracking search would, so the iterates, and
+    every label, are those of that search."""
     state = _state(sa, bs, sig, s)
-    phi = _phi(weight, s, state[4], state[1])
+    phi = float(_phi(weight, s, state[4], state[1]))
     for _ in range(_NEWTON_MAX_STEPS):
         # At s > 0 the iterate's own margins are positive, so B is too.
         if s <= 0.0 and _dual_bound(sa, bs, sig, state, counter) < 0.0:
@@ -399,20 +434,55 @@ def _center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
                                                   state, counter)
         if -slope / 2.0 <= _NEWTON_DEC2_TOL:
             break
-        step = 1.0
-        for _ in range(60):
-            sig_n = sig + step * dsig
-            s_n = s + step * ds
-            state_n = _state(sa, bs, sig_n, s_n)
-            _count_state(counter, *sig.shape)
-            phi_n = _phi(weight, s_n, state_n[4], state_n[1])
-            if phi_n <= phi + 0.01 * step * slope:
-                sig, s, state, phi = sig_n, s_n, state_n, phi_n
-                break
-            step *= 0.5
-        else:
+        accepted = _line_search(weight, sa, bs, sig, s, phi, dsig, ds, slope,
+                                counter)
+        if accepted is None:
             break
+        sig, s, state, phi = accepted
     return sig, s, state
+
+
+def _line_search(weight: float, sa: np.ndarray, bs: np.ndarray,
+                 sig: np.ndarray, s: float, phi: float, dsig: np.ndarray,
+                 ds: float, slope: float, counter: FlopCounter
+                 ) -> tuple[np.ndarray, float, tuple, float] | None:
+    """Backtracking line search (Boyd & Vandenberghe, 9.2): the first of the
+    steps 1, 1/2, ..., 2^-59 whose barrier value passes the Armijo test
+    phi_n <= phi + 0.01 step slope, as (sigma, s, state, phi) there, or None
+    when none does.
+
+    The full step is tried alone, since most Newton steps take it.  The
+    halvings are then tried in the stacked passes of _BACKTRACK_PASSES, and
+    a pass accepts its first passing trial.  Every stacked row has the bits
+    of its 1-D _state and _phi, so the accepted trial is the one that a
+    search testing one trial at a time accepts, with the same bits.  The
+    FLOP tally and counter.backtracks (the trials rejected) are that
+    search's too: trials past the accepted one in its pass are not
+    counted."""
+    m_ap, k_ue = sig.shape
+    sig_n = sig + dsig
+    s_n = s + ds
+    state_n = _state(sa, bs, sig_n, s_n)
+    phi_n = float(_phi(weight, s_n, state_n[4], state_n[1]))
+    _count_state(counter, m_ap, k_ue)
+    if phi_n <= phi + 0.01 * slope:
+        return sig_n, s_n, state_n, phi_n
+    for lo, hi in _BACKTRACK_PASSES:
+        step = _HALVINGS[lo:hi]
+        sig_n = sig + step[:, None, None] * dsig
+        s_n = s + step * ds
+        state_n = _state(sa, bs, sig_n, s_n[:, None])
+        phi_n = _phi(weight, s_n, state_n[4], state_n[1])
+        passed = phi_n <= phi + 0.01 * step * slope
+        j = int(passed.argmax())
+        if passed[j]:
+            _count_state(counter, m_ap, k_ue, times=j + 1)
+            counter.backtracks += lo + j
+            return (sig_n[j], float(s_n[j]), tuple(a[j] for a in state_n),
+                    float(phi_n[j]))
+        _count_state(counter, m_ap, k_ue, times=hi - lo)
+    counter.backtracks += _HALVINGS.size
+    return None
 
 
 def _dual_bound(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray, state: tuple,

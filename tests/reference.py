@@ -1,11 +1,14 @@
-"""Per-node reference of the graph transformer, the test oracle for the engine.
+"""Slow references that tests hold the package to.
 
-The package computes each transition as dense attention over grid rows and
-columns.  This module spells the same arithmetic out node by node over
-explicit neighbour lists: node (m, k) sits at flat index m * K + k
-(row-major), its "UE" neighbours are the nodes that share user k and its
-"AP" neighbours the nodes that share AP m, with no self-loops.  It is slow
-and exists only so that tests can hold the batched engine to it.
+Graph transformer: the package computes each transition as dense attention
+over grid rows and columns.  This module spells the same arithmetic out
+node by node over explicit neighbour lists: node (m, k) sits at flat index
+m * K + k (row-major), its "UE" neighbours are the nodes that share user k
+and its "AP" neighbours the nodes that share AP m, with no self-loops.
+
+Max-min solver: the barrier state and value of one point, and the
+backtracking line search and centring that test one trial step at a time,
+as the solver ran them before it tested halvings in stacked passes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cfgnn import maxmin
 from cfgnn.engine import LN_EPS
+from cfgnn.flops import FlopCounter
 from cfgnn.model import EDGE_TYPES, GnnModel
 
 
@@ -168,3 +173,61 @@ def forward_reference(graph: NeighborGraph, x: np.ndarray,
         h = layer_forward(graph, h, model, t)
     y = h @ model.params["out.w"][0] + model.params["out.b"][0]
     return y.reshape(graph.num_aps, graph.num_ues)
+
+
+def barrier_state(sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
+                  s: float) -> tuple:
+    """maxmin._state at one (M, K) point: r, ball, q, g, margins."""
+    r = np.einsum("mk,mk->m", sig, sig)
+    ball = 1.0 - r
+    q = np.sqrt(1.0 + bs.T @ r)
+    g = np.einsum("mk,mk->k", sa, sig) - q
+    return r, ball, q, g, g - s
+
+
+def barrier_value(weight: float, s: float, margins: np.ndarray,
+                  ball: np.ndarray) -> float:
+    """maxmin._phi at one point: +inf outside the interior or at a NaN."""
+    if not (margins.min() > 0.0 and ball.min() > 0.0):
+        return math.inf
+    return -weight * s - float(np.log(margins).sum()) - float(np.log(ball).sum())
+
+
+def line_search(weight: float, sa: np.ndarray, bs: np.ndarray,
+                sig: np.ndarray, s: float, phi: float, dsig: np.ndarray,
+                ds: float, slope: float, counter: FlopCounter):
+    """Backtracking one trial at a time: steps 1, 1/2, ..., 2^-59, the first
+    that passes the Armijo test, as (sigma, s, state, phi), or None.  Each
+    trial is tallied, and each rejected one is a backtrack."""
+    step = 1.0
+    for _ in range(60):
+        sig_n = sig + step * dsig
+        s_n = s + step * ds
+        state_n = barrier_state(sa, bs, sig_n, s_n)
+        maxmin._count_state(counter, *sig.shape)
+        phi_n = barrier_value(weight, s_n, state_n[4], state_n[1])
+        if phi_n <= phi + 0.01 * step * slope:
+            return sig_n, s_n, state_n, phi_n
+        counter.backtracks += 1
+        step *= 0.5
+    return None
+
+
+def center(weight: float, sa: np.ndarray, bs: np.ndarray, sig: np.ndarray,
+           s: float, counter: FlopCounter):
+    """maxmin._center with line_search in place of the stacked search."""
+    state = barrier_state(sa, bs, sig, s)
+    phi = barrier_value(weight, s, state[4], state[1])
+    for _ in range(maxmin._NEWTON_MAX_STEPS):
+        if s <= 0.0 and maxmin._dual_bound(sa, bs, sig, state, counter) < 0.0:
+            return None
+        dsig, ds, grad, slope = maxmin._newton_direction(weight, sa, bs, sig,
+                                                         state, counter)
+        if -slope / 2.0 <= maxmin._NEWTON_DEC2_TOL:
+            break
+        accepted = line_search(weight, sa, bs, sig, s, phi, dsig, ds, slope,
+                               counter)
+        if accepted is None:
+            break
+        sig, s, state, phi = accepted
+    return sig, s, state

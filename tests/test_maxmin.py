@@ -28,6 +28,7 @@ from oracle import (
     subprocess_env,
     upper_bound_sinr,
 )
+from reference import barrier_state, barrier_value, center, line_search
 
 RHO_D, RHO_U = RadioDefaults.rho_d(), RadioDefaults.rho_u()
 
@@ -598,6 +599,161 @@ def test_no_dense_hessian_above_the_size_constant():
     assert peak < (64 * 16 + 1) ** 2 * 8
 
 
+def _scaled_gains(m: int, k: int, seed: int, morphology: str = "urban",
+                  index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(sa, bs) of a fading draw, sa divided by sqrt of the worst SINR of
+    equal power, as a probe at that target sees them."""
+    beta = fading_instance(m, k, seed, morphology, index)
+    alpha, rho_d = link(beta)
+    t = float(np.min(compute_sinr(beta, alpha, equal_power(m, k), rho_d)))
+    return np.sqrt(rho_d * alpha) / math.sqrt(t), rho_d * beta
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (2, 3), (8, 3), (16, 5), (32, 9),
+                                  (64, 16)])
+def test_stacked_barrier_rows_have_the_bits_of_one_point_calls(m, k):
+    """_state and _phi on a stack of points give each row the bytes of the
+    1-D call and of the one-point reference, without a warning.  Rows
+    outside the balls, with a negative margin or with a NaN get phi = +inf.
+    A stacked bs' r taken as r @ bs changes bits from 8x3 on."""
+    sa, bs = _scaled_gains(m, k, 3)
+    rng = np.random.default_rng(m * 100 + k)
+    sig = rng.uniform(0.0, 1.0 / math.sqrt(k), (12, m, k))
+    g = np.array([barrier_state(sa, bs, row, 0.0)[3] for row in sig])
+    s = g.min(axis=1) - rng.uniform(0.01, 0.5, 12)
+    s[6:8] = g[6:8].min(axis=1) + 0.1                  # a negative margin
+    sig[8, 0] = 2.0                                    # outside AP 0's ball
+    sig[9, -1, 0] = 1.0 + 2.0 ** -40
+    sig[10, 0, -1] = math.nan
+    s[11] = math.nan
+    weight = 4.0 * (m + k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = maxmin._state(sa, bs, sig, s[:, None])
+        phi = maxmin._phi(weight, s, stacked[4], stacked[1])
+        for i in range(12):
+            one = maxmin._state(sa, bs, sig[i], s[i])
+            want = barrier_state(sa, bs, sig[i], s[i])
+            for got_row, one_row, want_row in zip(stacked, one, want):
+                assert got_row[i].tobytes() == one_row.tobytes() == want_row.tobytes()
+            phi_one = float(maxmin._phi(weight, s[i], one[4], one[1]))
+            phi_want = barrier_value(weight, s[i], want[4], want[1])
+            assert float(phi[i]).hex() == phi_one.hex() == float(phi_want).hex()
+    assert np.all(np.isfinite(phi[:6]))
+    assert np.all(phi[6:] == math.inf)
+
+
+def _line_search_matches_reference(args: tuple) -> tuple[int, bool]:
+    """_line_search and the one-trial-at-a-time reference on the same
+    arguments: same accepted (sigma, s, state, phi) bytes, same FLOP tallies
+    and backtracks.  Returns (backtracks, accepted)."""
+    counter, want_counter = FlopCounter(), FlopCounter()
+    got = maxmin._line_search(*args, counter)
+    want = line_search(*args, want_counter)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert float(got[1]).hex() == float(want[1]).hex()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[2], want[2]))
+        assert float(got[3]).hex() == float(want[3]).hex()
+    assert counter == want_counter
+    return want_counter.backtracks, want is not None
+
+
+def _centring_matches_reference(args: tuple) -> None:
+    """_center and the reference centring on the same arguments: same
+    centred (sigma, s, state) bytes and the same counter, tallies and
+    events."""
+    counter, want_counter = FlopCounter(), FlopCounter()
+    got = maxmin._center(*args, counter)
+    want = center(*args, want_counter)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert float(got[1]).hex() == float(want[1]).hex()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[2], want[2]))
+    assert counter == want_counter
+
+
+@pytest.mark.parametrize("accepted", [0, 1, 6, 7, 22, 23, 38, 39, 54, 55, 59,
+                                      None])
+def test_stacked_line_search_accepts_the_one_at_a_time_trial(monkeypatch,
+                                                             accepted):
+    """A step (d_sigma, d_s) that takes the full step, scaled by 2^i: its
+    trial 2^-i is that full step, and every longer trial leaves the domain.
+    So the search accepts trial i + 1, in each pass and at trial 60, and
+    with i = 60 none, which ends the centring.  The search, and a centring
+    whose first Newton system gives that step and whose second has a zero
+    decrement, match the references in bits and tallies."""
+    sa, bs = _scaled_gains(8, 3, 815)
+    rng = np.random.default_rng(1)
+    sig = np.full((8, 3), 1.0 / math.sqrt(6.0))
+    state = maxmin._state(sa, bs, sig, 0.0)
+    gap = 0.05
+    s = float(np.min(state[3])) - gap
+    state = maxmin._state(sa, bs, sig, s)
+    weight = 100.0 * float(np.sum(1.0 / state[4]))
+    phi = float(maxmin._phi(weight, s, state[4], state[1]))
+    grad = maxmin._newton_terms(weight, sa, bs, sig, state, NoCounter())[2]
+    # Half a step more takes s past the worst slack: outside the domain.
+    dsig, ds = 1e-4 * rng.standard_normal((8, 3)), 0.6 * gap
+    scale = math.ldexp(1.0, 60 if accepted is None else accepted)
+    dsig, ds = scale * dsig, scale * ds
+    slope = float(grad @ np.append(dsig.ravel(), ds))
+    assert slope < 0.0
+    backtracks, found = _line_search_matches_reference(
+        (weight, sa, bs, sig, s, phi, dsig, ds, slope))
+    if accepted is None:
+        assert (backtracks, found) == (60, False)
+    else:
+        assert (backtracks, found) == (accepted, True)
+
+    calls = []
+
+    def one_step(weight, sa, bs, sig_now, state, counter):
+        calls.append(1)
+        return dsig, ds, grad, slope if sig_now is sig else 0.0
+
+    monkeypatch.setattr(maxmin, "_newton_direction", one_step)
+    _centring_matches_reference((weight, sa, bs, sig, s))
+    assert len(calls) == (2 if found else 1) * 2
+
+
+def test_centring_with_a_stalled_polish_probe_matches_one_trial_at_a_time(
+        monkeypatch):
+    """Every centring and every line search of a whole 8x3 solve, replayed
+    from their captured arguments, against the one-trial-at-a-time
+    reference: same bits and tallies.  In this draw's last, fully centred
+    probe the Newton decrement stays above its tolerance while each step
+    halves 17 to 29 times, so its line searches reach the first three
+    stacked passes."""
+    centre_calls, search_calls = [], []
+    center_fn, search_fn = maxmin._center, maxmin._line_search
+
+    def recorded_center(*args):
+        centre_calls.append(args[:-1])
+        return center_fn(*args)
+
+    def recorded_search(*args):
+        search_calls.append((len(centre_calls), args[:-1]))
+        return search_fn(*args)
+
+    monkeypatch.setattr(maxmin, "_center", recorded_center)
+    monkeypatch.setattr(maxmin, "_line_search", recorded_search)
+    solve_maxmin(fading_instance(8, 3, 815, "urban", 4))
+    monkeypatch.undo()
+
+    for args in centre_calls:
+        _centring_matches_reference(args)
+    backtracks = {}
+    for centring, args in search_calls:
+        counts = backtracks.setdefault(centring, [])
+        counts.append(_line_search_matches_reference(args)[0])
+    last = backtracks[len(centre_calls)]
+    assert sum(count >= 17 for count in last) >= 40
+    assert max(last) >= 23
+
+
 _GOLDEN_32X9 = """
 import hashlib, json, resource
 from cfgnn import maxmin
@@ -635,6 +791,7 @@ print(json.dumps({"t_star": sol.t_star, "iterations": sol.iterations,
                   "probes_certified": counter.probes_certified,
                   "probes_dual_certified": counter.probes_dual_certified,
                   "dense_fallbacks": counter.newton_dense_fallbacks,
+                  "backtracks": counter.backtracks,
                   "minflt": faults}))
 """
 
@@ -669,6 +826,7 @@ def test_benchmark_32x9_instance_golden_and_fault_budget():
     assert got["dense_fallbacks"] == 0
     assert got["lu_calls"] == 479
     assert got["minflt"] < 30 * got["lu_calls"]
+    assert got["backtracks"] == 1299
 
 
 @dataclass
