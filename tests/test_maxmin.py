@@ -599,11 +599,10 @@ def test_no_dense_hessian_above_the_size_constant():
     assert peak < (64 * 16 + 1) ** 2 * 8
 
 
-def _scaled_gains(m: int, k: int, seed: int, morphology: str = "urban",
-                  index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(sa, bs) of a fading draw, sa divided by sqrt of the worst SINR of
-    equal power, as a probe at that target sees them."""
-    beta = fading_instance(m, k, seed, morphology, index)
+def _scaled_gains(m: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sa, bs) of an urban fading draw, sa divided by sqrt of the worst
+    SINR of equal power, as a probe at that target sees them."""
+    beta = fading_instance(m, k, seed)
     alpha, rho_d = link(beta)
     t = float(np.min(compute_sinr(beta, alpha, equal_power(m, k), rho_d)))
     return np.sqrt(rho_d * alpha) / math.sqrt(t), rho_d * beta
@@ -745,11 +744,10 @@ def test_centring_with_a_stalled_polish_probe_matches_one_trial_at_a_time(
 
     for args in centre_calls:
         _centring_matches_reference(args)
-    backtracks = {}
-    for centring, args in search_calls:
-        counts = backtracks.setdefault(centring, [])
-        counts.append(_line_search_matches_reference(args)[0])
-    last = backtracks[len(centre_calls)]
+    counts = [(centring, _line_search_matches_reference(args)[0])
+              for centring, args in search_calls]
+    last = [count for centring, count in counts
+            if centring == len(centre_calls)]
     assert sum(count >= 17 for count in last) >= 40
     assert max(last) >= 23
 
