@@ -26,6 +26,21 @@ layer norm's own `xhat * gain + bias`, and the value, query and key tensors
 from that input with the forward's own affine maps: the same operands,
 layouts and GEMM shapes, so the same bits.
 
+The kernels keep the bits of the straightforward versions in
+`tests/oracle.py` and avoid numpy calls that loop over short rows.  A
+reduction along a last axis of 3 to 32 entries runs one short inner loop
+per row, and that per-loop cost, not the arithmetic, sets its time:
+
+    * the softmax's row max, exact in any order, runs one `np.maximum`
+      per column over all rows, or for long rows `max` over axis -2 of a
+      transposed contiguous copy (`_row_max`);
+    * sums keep numpy's own reduction, whose order sets their bits; the
+      layer norm's means are `np.add.reduce(..., axis=-1) / n`, which is
+      what `ndarray.mean` runs under its Python wrapper;
+    * the diagonal is masked through a strided slice of the flattened
+      logits, biases, gains and shifts are applied in place, and
+      `attn @ v` is written straight into the node-major aggregate.
+
 Every kernel reports its FLOPs to a counter using the conventions of
 `flops`: counts reflect what the vectorised code executes, including the
 masked diagonal entries of the attention blocks.  An uncounted call runs
@@ -45,6 +60,7 @@ from .model import MAP_NAMES, GnnModel, init_model
 
 LN_EPS = 1e-5
 _MASK_VALUE = -1e30
+_ROW_MAX_COLUMNS = 12
 
 
 def _type_arrays(model: GnnModel, t: int, edge_type: str) -> tuple:
@@ -59,24 +75,43 @@ def _type_arrays(model: GnnModel, t: int, edge_type: str) -> tuple:
 
 def _apply_map(x_flat: np.ndarray, w: np.ndarray, b: np.ndarray,
                lead: tuple[int, int, int]) -> np.ndarray:
-    """(S*G*N, n_in) -> (S, G, C, N, d) head-major affine map; lead = (S, G, N)."""
+    """(S*G*N, n_in) -> (S, G, C, N, d) head-major affine map; lead = (S, G, N).
+
+    The result is a view of the node-major (S, G, N, C, d) product, to
+    which the bias is added in place.
+    """
     c, d, n_in = w.shape
-    flat = x_flat @ w.reshape(c * d, n_in).T + b.reshape(-1)
+    flat = x_flat @ w.reshape(c * d, n_in).T
+    flat += b.reshape(-1)
     return flat.reshape(*lead, c, d).transpose(0, 1, 3, 2, 4)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """`a.max(axis=-1, keepdims=True)` by a halving tree of `np.maximum`.
+    """`a.max(axis=-1, keepdims=True)` without a numpy loop per short row.
 
+    Rows of at most `_ROW_MAX_COLUMNS` entries take one `np.maximum` per
+    column over all rows at once; longer rows take `max` over axis -2 of
+    a transposed contiguous copy, whose inner loops run across all rows.
     A max has one right answer in any order, so the bits are the
-    reduction's; the tree takes log2(N) whole-array calls where the
-    reduction loops once per short row.  (Only a zero max could differ,
-    in its sign, and subtracting either zero gives `exp` the same values.)
+    reduction's (only a zero max could differ, in its sign, and
+    subtracting either zero gives `exp` the same values).
+
+    The crossover, measured on the attention shapes (microseconds per
+    call, column loop / transposed copy, numpy 2.4, one BLAS thread, 2-core
+    x86-64 VM): 1x32x9 rows of 9 12.6 / 22.1 and of 32 56.8 / 28.6;
+    64x8x3 rows of 3 6.8 / 101 and of 8 22.0 / 98.3; 1x8x3 rows of 3
+    2.9 / 3.6 and of 8 7.8 / 3.3.  Any crossover from 9 to 31 serves
+    1x32x9 and 64x8x3 best, and 1x8x3 loses under 5 us per call.  From
+    13 to 24 entries the copy wins for single samples with few groups
+    (1xNx9) and the loop with many (1x32xN, batch 64), hence 12.
     """
-    m = a
-    while (n := m.shape[-1]) > 1:
-        m = np.maximum(m[..., :(n + 1) // 2], m[..., n // 2:])
-    return m
+    n = a.shape[-1]
+    if n > _ROW_MAX_COLUMNS:
+        return np.ascontiguousarray(a.swapaxes(-1, -2)).max(axis=-2)[..., None]
+    m = a[..., 0].copy()
+    for j in range(1, n):
+        np.maximum(m, a[..., j], out=m)
+    return m[..., None]
 
 
 def _typed_block(x: np.ndarray, arrays: tuple,
@@ -96,30 +131,40 @@ def _typed_block(x: np.ndarray, arrays: tuple,
     sv = _apply_map(x_flat, w1, b1, lead)
     counter.linear(s * g * nmem, n_in, c * d)
     if nmem == 1:
-        out5 = sv
-        attn = None
-    else:
-        v = _apply_map(x_flat, w2, b2, lead)
-        q = _apply_map(x_flat, w3, b3, lead)
-        k = _apply_map(x_flat, w4, b4, lead)
-        counter.linear(3 * s * g * nmem, n_in, c * d)
-        attn = q @ k.swapaxes(-1, -2)
-        attn /= math.sqrt(d)
-        counter.dot(d, s * g * c * nmem * nmem)
-        counter.mul(s * g * c * nmem * nmem)
-        idx = np.arange(nmem)
-        attn[..., idx, idx] = _MASK_VALUE
-        attn -= _row_max(attn)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        counter.add(2 * s * g * c * nmem * nmem)       # max-subtract, sum
-        counter.mul(2 * s * g * c * nmem * nmem)       # exp, divide
-        out5 = attn @ v
-        counter.dot(nmem, s * g * c * nmem * d)
-        out5 += sv
-        counter.add(s * g * nmem * c * d)
-    out = out5.transpose(0, 1, 3, 2, 4).reshape(s, g, nmem, c * d)
-    return out, attn
+        return sv.transpose(0, 1, 3, 2, 4).reshape(s, g, nmem, c * d), None
+    v = _apply_map(x_flat, w2, b2, lead)
+    q = _apply_map(x_flat, w3, b3, lead)
+    k = _apply_map(x_flat, w4, b4, lead)
+    counter.linear(3 * s * g * nmem, n_in, c * d)
+    attn = q @ k.swapaxes(-1, -2)
+    attn /= math.sqrt(d)
+    counter.dot(d, s * g * c * nmem * nmem)
+    counter.mul(s * g * c * nmem * nmem)
+    # The product is fresh and contiguous, so this reshape is a view and
+    # its stride-(N+1) slice is the diagonal of every block.
+    attn.reshape(s, g, c, nmem * nmem)[..., ::nmem + 1] = _MASK_VALUE
+    attn -= _row_max(attn)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    counter.add(2 * s * g * c * nmem * nmem)       # max-subtract, sum
+    counter.mul(2 * s * g * c * nmem * nmem)       # exp, divide
+    # attn @ v goes straight into a node-major buffer, so the aggregate
+    # needs no head-major transpose copy.
+    out = np.empty((s, g, nmem, c, d))
+    out5 = out.transpose(0, 1, 3, 2, 4)
+    np.matmul(attn, v, out=out5)
+    counter.dot(nmem, s * g * c * nmem * d)
+    out5 += sv
+    counter.add(s * g * nmem * c * d)
+    return out.reshape(s, g, nmem, c * d), attn
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """`a.mean(axis=-1, keepdims=True)` without its Python wrapper: the same
+    `add.reduce` and division, so the same bits."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
 
 
 def _layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -127,17 +172,35 @@ def _layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     """Per-node layer norm; returns (output, xhat, inv_std)."""
     n = a.shape[-1]
     nodes = a.size // n
-    mu = a.mean(axis=-1, keepdims=True)
-    cent = a - mu
-    var = (cent * cent).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = cent * inv
-    out = xhat * gain + bias
+    xhat = a - _mean(a)
+    inv = _mean(xhat * xhat)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
     # Adds: mean and variance accumulation, centring, + eps, bias.  Muls:
     # squares, xhat, gain, the two divides by n, sqrt and reciprocal.
     counter.add(nodes * (4 * n + 1))
     counter.mul(nodes * (3 * n + 4))
     return out, xhat, inv
+
+
+def _layer_norm_bwd(dh: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                    gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d input, d gain, d bias) of `_layer_norm` for the upstream dh, from
+    the xhat and inverse deviation it returned."""
+    dgain = np.einsum("smkn,smkn->n", dh, xhat)
+    dbias = dh.sum(axis=(0, 1, 2))
+    dz = dh * gain
+    prod = dz * xhat
+    m2 = _mean(prod)
+    dz -= _mean(dz)
+    np.multiply(xhat, m2, out=prod)
+    dz -= prod
+    dz *= inv
+    return dz, dgain, dbias
 
 
 def forward(graph: HeteroGraph, x: np.ndarray, model: GnnModel,
@@ -261,15 +324,10 @@ def backward(model: GnnModel, tape: dict, dy: np.ndarray
 
     for t in reversed(range(len(layers))):
         entry = layers[t]
-        gain = model.params[f"layer{t:02d}.ln_gain"]
-        xhat, inv = entry["xhat"], entry["inv"]
-        grads[f"layer{t:02d}.ln_gain"] = np.einsum("smkn,smkn->n", dh, xhat)
-        grads[f"layer{t:02d}.ln_bias"] = dh.sum(axis=(0, 1, 2))
-        dxh = dh * gain
-        m1 = dxh.mean(axis=-1, keepdims=True)
-        m2 = (dxh * xhat).mean(axis=-1, keepdims=True)
-        dz = inv * (dxh - m1 - xhat * m2)
-        del dh, dxh
+        dz, grads[f"layer{t:02d}.ln_gain"], grads[f"layer{t:02d}.ln_bias"] = \
+            _layer_norm_bwd(dh, entry["xhat"], entry["inv"],
+                            model.params[f"layer{t:02d}.ln_gain"])
+        del dh
         dz *= entry["relu"]
         h = layer_input(t)
         dx_ap, g_ap = _typed_block_bwd(dz, h, _type_arrays(model, t, "ap"),

@@ -15,6 +15,10 @@
   which work in place.  Like them, the forward keeps only the attention
   and the backward recomputes the value, query and key tensors from the
   block input.
+* `layer_norm` / `layer_norm_bwd`: the per-node layer norm and its
+  gradient, with `.mean` and a fresh temporary for every step; the oracle
+  for `engine._layer_norm` and `engine._layer_norm_bwd`, which take their
+  means by `add.reduce` and work in place.
 * `write_checkpoint`: the whole checkpoint document built in memory and
   written with `json.dump`; the oracle for the streamed
   `model.save_checkpoint`.
@@ -50,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from cfgnn.channel import draw_fading
-from cfgnn.engine import _MASK_VALUE
+from cfgnn.engine import _MASK_VALUE, LN_EPS
 from cfgnn.flops import FlopCounter, NoCounter
 from cfgnn.maxmin import MaxMinSolution, _margin_solve, _sinr_cap
 from cfgnn.sinr import Link, compute_sinr, link
@@ -183,6 +187,32 @@ def typed_block_bwd(df: np.ndarray, x: np.ndarray, arrays: tuple,
         grads[name_b] = db
         dx += dxi
     return dx, grads
+
+
+def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+               counter) -> tuple:
+    """(output, xhat, inverse deviation) of the per-node layer norm."""
+    n = a.shape[-1]
+    nodes = a.size // n
+    mu = a.mean(axis=-1, keepdims=True)
+    cent = a - mu
+    var = (cent * cent).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = cent * inv
+    out = xhat * gain + bias
+    counter.add(nodes * (4 * n + 1))
+    counter.mul(nodes * (3 * n + 4))
+    return out, xhat, inv
+
+
+def layer_norm_bwd(dh: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                   gain: np.ndarray) -> tuple:
+    """(d input, d gain, d bias) of `layer_norm` for the upstream dh."""
+    dxh = dh * gain
+    m1 = dxh.mean(axis=-1, keepdims=True)
+    m2 = (dxh * xhat).mean(axis=-1, keepdims=True)
+    dz = inv * (dxh - m1 - xhat * m2)
+    return dz, np.einsum("smkn,smkn->n", dh, xhat), dh.sum(axis=(0, 1, 2))
 
 
 def _arrays_to_json(arrays: dict) -> dict:

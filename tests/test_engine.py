@@ -3,8 +3,8 @@
 The batched kernels are validated against the slow per-node reference in
 `reference` and against hand-computed values on tiny configurations, plus a
 frozen-seed golden vector that pins down the exact numerics.  The in-place
-attention kernels and the streamed checkpoint writer are held bit for bit to
-the straightforward versions in `oracle`.
+attention and layer-norm kernels and the streamed checkpoint writer are held
+bit for bit to the straightforward versions in `oracle`.
 """
 
 import json
@@ -345,12 +345,16 @@ def _forward_backward(x, model, dy):
     return y, tape, backward(model, tape, dy), counter
 
 
-@pytest.mark.parametrize("s, m, k", [(64, 8, 3), (1, 32, 9), (1, 2, 2),
-                                     (3, 1, 4), (2, 5, 1)])
+@pytest.mark.parametrize("s, m, k", [(64, 8, 3), (1, 32, 9), (1, 8, 3),
+                                     (2, 13, 12), (1, 2, 2), (3, 1, 4),
+                                     (2, 5, 1)])
 def test_in_place_kernels_match_the_oracle_bit_for_bit(monkeypatch, s, m, k):
     """Forward output, every tape entry, every gradient and the FLOP tally
-    of the in-place typed block equal those of the fresh-temporary one.
-    M = 1 and K = 1 take the single-member branch for one edge type."""
+    of the in-place typed block and layer norm equal those of the
+    fresh-temporary ones.  (1, 8, 3) is the per-sample call of `evaluate`;
+    (2, 13, 12) has AP rows of 12 and UE rows of 13 entries, on either
+    side of the row max's crossover.  M = 1 and K = 1 take the
+    single-member branch for one edge type."""
     model = init_model(seed=m * k, norm=NORM)
     rng = np.random.default_rng(s * 1000 + m * 10 + k)
     x = rng.standard_normal((s, m, k))
@@ -358,6 +362,8 @@ def test_in_place_kernels_match_the_oracle_bit_for_bit(monkeypatch, s, m, k):
     y, tape, grads, counter = _forward_backward(x, model, dy)
     monkeypatch.setattr(engine, "_typed_block", oracle.typed_block)
     monkeypatch.setattr(engine, "_typed_block_bwd", oracle.typed_block_bwd)
+    monkeypatch.setattr(engine, "_layer_norm", oracle.layer_norm)
+    monkeypatch.setattr(engine, "_layer_norm_bwd", oracle.layer_norm_bwd)
     y_ref, tape_ref, grads_ref, counter_ref = _forward_backward(x, model, dy)
     assert _same(y, y_ref)
     assert tape.keys() == tape_ref.keys()
@@ -374,18 +380,34 @@ def test_in_place_kernels_match_the_oracle_bit_for_bit(monkeypatch, s, m, k):
     assert counter == counter_ref
 
 
-@pytest.mark.parametrize("n", range(1, 34))
+@pytest.mark.parametrize("n", range(1, 131))
 def test_row_max_has_the_bits_of_the_max_reduction(n):
-    """The softmax shift's halving tree, on rows of every length up to 33
-    with the diagonal masked as the attention masks it."""
+    """The softmax shift's row max, on rows of every length up to 130 (both
+    sides of `engine._ROW_MAX_COLUMNS`, and the 128-entry rows of 128x32),
+    with the diagonal masked as the attention masks it.  From n = 4 one
+    block also holds a row with a NaN, one with -inf, one whose max is a
+    +0/-0 tie and one of mask values only.  Every max has the reduction's
+    bytes, except that a zero max may differ in its sign; there the
+    values are equal and `exp` of the shifted rows, all that the softmax
+    reads, has the same bytes."""
     a = np.random.default_rng(n).standard_normal((2, 3, 2, n, n)) * 10.0
     idx = np.arange(n)
     a[..., idx, idx] = engine._MASK_VALUE
+    if n >= 4:
+        block = a[0, 1, 0]
+        block[0, n // 2] = np.nan
+        block[1, n - 1] = -np.inf
+        block[2] = -np.abs(block[2]) - 1.0
+        block[2, 0], block[2, n - 1] = 0.0, -0.0
+        block[3] = engine._MASK_VALUE
     for rows in (a, a[..., :1, :], a.swapaxes(-1, -2)):
         got = engine._row_max(rows)
         want = rows.max(axis=-1, keepdims=True)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        zero = want == 0.0
+        assert got[~zero].tobytes() == want[~zero].tobytes()
+        assert np.array_equal(got[zero], want[zero])
+        assert np.exp(rows - got).tobytes() == np.exp(rows - want).tobytes()
 
 
 def _held_bytes(obj) -> int:
